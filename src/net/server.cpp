@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "service/errors.hpp"
@@ -48,18 +49,35 @@ void EvalServer::stop() {
   // close -- the owning session thread still closes).
   if (listen_fd_.valid()) ::shutdown(listen_fd_.get(), SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
+  std::list<Session> sessions;
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);
-    for (int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Session& s : sessions_)
+      if (!s.done) ::shutdown(s.fd, SHUT_RDWR);
+    sessions.swap(sessions_);
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    threads.swap(session_threads_);
-  }
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
+  for (Session& s : sessions)
+    if (s.thread.joinable()) s.thread.join();
   listen_fd_.reset();
+}
+
+std::size_t EvalServer::session_threads() const {
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  return sessions_.size();
+}
+
+void EvalServer::reap_sessions() {
+  std::list<Session> finished;
+  {
+    std::lock_guard<std::mutex> lk(sessions_mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const auto next = std::next(it);
+      if (it->done) finished.splice(finished.end(), sessions_, it);
+      it = next;
+    }
+  }
+  // A done session only has its socket close and its return left.
+  for (Session& s : finished) s.thread.join();
 }
 
 NetServerStats EvalServer::stats() const {
@@ -121,14 +139,17 @@ void EvalServer::accept_loop() {
       ::close(fd);
       continue;
     }
+    reap_sessions();
     active_.fetch_add(1);
     std::lock_guard<std::mutex> lk(sessions_mu_);
-    session_fds_.push_back(fd);
-    session_threads_.emplace_back([this, fd] { session(fd); });
+    Session& s = sessions_.emplace_back();
+    s.fd = fd;
+    s.thread = std::thread([this, &s] { session(s); });
   }
 }
 
-void EvalServer::session(int fd) {
+void EvalServer::session(Session& me) {
+  const int fd = me.fd;
   ScopedFd conn(fd);
   service::SubmitOptions defaults;
   std::uint8_t sniff[4];
@@ -177,12 +198,12 @@ void EvalServer::session(int fd) {
   } catch (const SocketError&) {
     // Peer went away mid-frame; nothing to answer.
   }
-  {
-    std::lock_guard<std::mutex> lk(sessions_mu_);
-    const auto it = std::find(session_fds_.begin(), session_fds_.end(), fd);
-    if (it != session_fds_.end()) session_fds_.erase(it);
-  }
   active_.fetch_sub(1);
+  // Marked before `conn` closes the socket: a peer that has seen EOF can
+  // count on the next accept reaping this thread, and stop() never shuts
+  // down a descriptor number this session no longer owns.
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  me.done = true;
 }
 
 bool EvalServer::handle_frame(int fd, const FrameHeader& hdr,

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -92,6 +93,12 @@ class EvalServer {
   /// Transport-counter snapshot.
   [[nodiscard]] NetServerStats stats() const;
 
+  /// Session-thread handles the server holds: open sessions plus finished
+  /// ones not yet joined.  Finished sessions are joined as new connections
+  /// are accepted, so a long-lived server keeps handles for its open
+  /// connections only, not for every connection it has served.
+  [[nodiscard]] std::size_t session_threads() const;
+
   /// The Prometheus text exposition served on HTTP GET and kStatsRequest:
   /// export_service_stats over a live EvalService::stats() snapshot plus
   /// the cofhee_net_* transport counters, rendered from a registry that
@@ -100,8 +107,17 @@ class EvalServer {
   [[nodiscard]] std::string metrics_text();
 
  private:
+  /// One client session's thread and socket (guarded by sessions_mu_).
+  struct Session {
+    int fd = -1;
+    bool done = false;  ///< The thread has finished with the socket.
+    std::thread thread;
+  };
+
   void accept_loop();
-  void session(int fd);
+  /// Join and drop finished sessions.
+  void reap_sessions();
+  void session(Session& me);
   /// Dispatch one decoded frame; returns false when the session must end
   /// (kBye, or a reply could not be sent).
   bool handle_frame(int fd, const FrameHeader& hdr,
@@ -130,9 +146,8 @@ class EvalServer {
   std::atomic<std::uint64_t> http_requests_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
 
-  std::mutex sessions_mu_;                // guards session_threads_ + session_fds_
-  std::vector<std::thread> session_threads_;
-  std::vector<int> session_fds_;          // live session sockets (for stop())
+  mutable std::mutex sessions_mu_;        // guards sessions_
+  std::list<Session> sessions_;           // stable addresses: threads hold theirs
   std::mutex metrics_mu_;                 // serializes scrapes over registry_
   obs::MetricsRegistry registry_;
   std::thread accept_thread_;

@@ -44,12 +44,13 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
     : scheme_(scheme),
       farm_(farm),
       opts_(opts),
-      depth_(1),
       exec_(opts.pooled_dispatch && farm.size() > 1
                 ? backend::ExecPolicy::pooled(farm.size())
                 : backend::ExecPolicy::serial()),
       queue_(opts.sched, opts.starvation_bound),
-      start_(Clock::now()) {
+      start_(Clock::now()),
+      // A ring of one has no worker thread: submit() runs the stage inline.
+      chip_worker_(opts.pipeline_depth > 1 ? 2 : 1) {
   // Per-chip eligibility: the farm may be heterogeneous, so the ring only
   // has to fit somewhere; chips it does not fit are skipped by placement.
   const std::size_t n = scheme_.context().n();
@@ -91,7 +92,6 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
   opts_.cost_ewma_alpha = std::clamp(opts_.cost_ewma_alpha, 0.0, 1.0);
   health_.resize(farm_.size());
   tenancy_enabled_ = opts_.tenancy.enabled();
-  depth_ = opts_.overlap_rounds ? opts_.pipeline_depth : 1;
   stats_.per_chip.resize(farm_.size());
   stats_.per_class.resize(kNumPriorities);
   class_latency_.resize(kNumPriorities);
@@ -357,22 +357,14 @@ EvalService::TenantAgg& EvalService::tenant_agg(std::uint64_t tenant) {
 }
 
 void EvalService::dispatcher_loop() {
-  // K-slot session ring: up to depth_ - 1 sessions keep their chip stages
-  // in flight (chained back-to-back, since the chips are an exclusive
-  // resource) while this thread prepares new rounds ahead of them and
-  // defers their finishes.  depth_ == 2 is the classic two-slot double
-  // buffer; depth_ == 1 runs every phase back-to-back.
+  // K-slot session ring: up to K - 1 sessions keep their chip stages in
+  // flight on the chip-stage worker (one thread, FIFO, so the stages run in
+  // ring order -- the chips are an exclusive resource) while this thread
+  // prepares new rounds ahead of them and defers their finishes.  K == 1 is
+  // a ring of one: the worker has no thread, the chip stage runs inline and
+  // the session retires at once, so every phase runs back-to-back.
+  const std::size_t depth = opts_.pipeline_depth;
   std::deque<std::unique_ptr<Session>> ring;
-  std::shared_future<void> chip_tail;  // most recently launched chip stage
-  auto chip_stage_guarded = [this](Session& s) {
-    try {
-      run_chip_stage(s);
-    } catch (...) {
-      const auto e = std::current_exception();
-      for (auto& err : s.errs)
-        if (err == nullptr) err = e;
-    }
-  };
   // Join, model and finish the ring's oldest session (ring order == chip
   // order, so the pipeline model advances exactly as executed).
   auto retire_oldest = [&] {
@@ -417,60 +409,43 @@ void EvalService::dispatcher_loop() {
       }
     }
 
-    if (cur != nullptr) {
-      // Host phase 1 of round k -- with chip stages in flight this is the
-      // pipelining overlap (base extension hidden under chip time).
-      const bool overlapped = !ring.empty();
-      const auto t0 = Clock::now();
-      host_prepare(*cur);
-      const double prep_wall = seconds_since(t0);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        stats_.sim_host_prep_seconds += cur->sim_prep;
-        if (opts_.trace != nullptr && cur->sim_prep > 0)
-          opts_.trace->span_sim_at(obs::TraceRecorder::kSimTrackHostModel,
-                                   "model.prep", "model", model_host_,
-                                   cur->sim_prep);
-        model_host_ += cur->sim_prep;
-        cur->model_ready = model_host_;
-        if (overlapped) {
-          ++stats_.overlapped_rounds;
-          stats_.overlap_wall_seconds += prep_wall;
-        }
-      }
-      if (depth_ > 1) {
-        // Chain this round's chip stage behind the previous one (chips are
-        // exclusive) and slot the session into the ring.
-        Session* raw = cur.get();
-        std::shared_future<void> prev = chip_tail;
-        cur->chip = std::async(std::launch::async,
-                               [chip_stage_guarded, raw, prev] {
-                                 if (prev.valid()) prev.wait();
-                                 chip_stage_guarded(*raw);
-                               })
-                        .share();
-        chip_tail = cur->chip;
-        ring.push_back(std::move(cur));
-        while (ring.size() > depth_ - 1) retire_oldest();
-      } else {
-        chip_stage_guarded(*cur);
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          const double start = std::max(cur->model_ready, model_chip_);
-          if (opts_.trace != nullptr && cur->sim_chip > 0)
-            opts_.trace->span_sim_at(obs::TraceRecorder::kSimTrackChipModel,
-                                     "model.chip", "model", start, cur->sim_chip);
-          cur->model_chip_end = start + cur->sim_chip;
-          model_chip_ = cur->model_chip_end;
-          stats_.sim_chip_round_seconds += cur->sim_chip;
-        }
-        finish_session(*cur, false);
-      }
-    } else {
+    if (cur == nullptr) {
       // Queue ran dry (or shutdown): drain one pipelined session, then
       // re-check for new arrivals.
       retire_oldest();
+      continue;
     }
+    // Host phase 1 of round k -- with chip stages in flight this is the
+    // pipelining overlap (base extension hidden under chip time).
+    const bool overlapped = !ring.empty();
+    const auto t0 = Clock::now();
+    host_prepare(*cur);
+    const double prep_wall = seconds_since(t0);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stats_.sim_host_prep_seconds += cur->sim_prep;
+      if (opts_.trace != nullptr && cur->sim_prep > 0)
+        opts_.trace->span_sim_at(obs::TraceRecorder::kSimTrackHostModel,
+                                 "model.prep", "model", model_host_, cur->sim_prep);
+      model_host_ += cur->sim_prep;
+      cur->model_ready = model_host_;
+      if (overlapped) {
+        ++stats_.overlapped_rounds;
+        stats_.overlap_wall_seconds += prep_wall;
+      }
+    }
+    Session* raw = cur.get();
+    cur->chip = chip_worker_.submit([this, raw] {
+      try {
+        run_chip_stage(*raw);
+      } catch (...) {
+        const auto e = std::current_exception();
+        for (auto& err : raw->errs)
+          if (err == nullptr) err = e;
+      }
+    });
+    ring.push_back(std::move(cur));
+    while (ring.size() > depth - 1) retire_oldest();
   }
   // Unblock any drain() racing a shutdown with an empty queue.
   idle_cv_.notify_all();
@@ -545,9 +520,10 @@ void EvalService::run_chip_stage(Session& s) {
                 "round.chip_stage", "round",
                 {{"requests", static_cast<double>(s.round.size())}})
           : obs::TraceRecorder::WallSpan();
-  // Chip stages are chained (the chips are an exclusive resource), so this
-  // is the one spot where probing a quarantined chip cannot race a session:
-  // quarantined chips receive no placements, and no other stage is running.
+  // Chip stages run one at a time on the chip-stage worker (the chips are
+  // an exclusive resource), so this is the one spot where probing a
+  // quarantined chip cannot race a session: quarantined chips receive no
+  // placements, and no other stage is running.
   probe_quarantined(/*force=*/false);
   const std::size_t count = s.round.size();
   const auto& ctx = scheme_.context();
@@ -568,12 +544,7 @@ void EvalService::run_chip_stage(Session& s) {
   for (std::size_t r = 0; r < count; ++r)
     if (s.errs[r] == nullptr && s.round[r].req.kind != RequestKind::kRelinearize)
       mult_live.push_back(r);
-  if (!mult_live.empty()) {
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_mult_batch_per_chip(s, mult_live, chip_sim_a);
-    else
-      run_mult_shard_towers(s, mult_live, chip_sim_a);
-  }
+  if (!mult_live.empty()) run_stage(s, Kernel::kTensor, mult_live, chip_sim_a);
 
   // Mid-round host work (kMultRelin): reassemble the tensor, t/q-round it
   // to a 3-element ciphertext, digit-decompose c2 for the key switch.
@@ -608,10 +579,7 @@ void EvalService::run_chip_stage(Session& s) {
       relin_live.push_back(r);
   if (!relin_live.empty()) {
     for (std::size_t r : relin_live) s.slots[r].relin_accs.resize(ctx.q_basis().size());
-    if (opts_.strategy == Strategy::kBatchPerChip)
-      run_relin_batch_per_chip(s, relin_live, chip_sim_b);
-    else
-      run_relin_shard_towers(s, relin_live, chip_sim_b);
+    run_stage(s, Kernel::kRelin, relin_live, chip_sim_b);
     // Host-side accumulation of the read-back key-switch products runs
     // inside the sessions (pointwise adds per digit, component, tower).
     stage_host_ops += static_cast<double>(relin_live.size()) * 2.0 * n * qt * nd;
@@ -790,48 +758,67 @@ std::vector<std::vector<std::size_t>> EvalService::place_items(
   return mine;
 }
 
-template <typename Work>
-void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
-                            std::vector<double>& chip_sim, std::size_t items,
-                            bool per_item_errors, Work&& work) {
-  // Stage-local item ids (requests under the batch strategies, towers under
-  // the shard strategies) still waiting for a successful chip share.
-  std::vector<std::size_t> todo(items);
-  for (std::size_t i = 0; i < items; ++i) todo[i] = i;
+void EvalService::run_stage(Session& s, Kernel kernel,
+                            const std::vector<std::size_t>& live,
+                            std::vector<double>& chip_sim) {
+  const auto& ctx = scheme_.context();
+  const std::size_t towers = kernel == Kernel::kTensor ? ctx.ext_basis().size()
+                                                       : ctx.q_basis().size();
+  // The Strategy picks the placement unit over the (request x tower) tile
+  // grid: a row (one live request, every tower) or a column (every live
+  // request, one tower).  Units are indexed into `live` or by tower.
+  const bool rows = opts_.strategy == Strategy::kBatchPerChip;
+  std::vector<std::size_t> all_towers(towers);
+  for (std::size_t tw = 0; tw < towers; ++tw) all_towers[tw] = tw;
+  // Units still waiting for a successful chip share.
+  std::vector<std::size_t> todo(rows ? live.size() : towers);
+  for (std::size_t u = 0; u < todo.size(); ++u) todo[u] = u;
   // Chips that faulted during this stage: blacklisted from re-placement so
   // a retry lands elsewhere (place_items drops the blacklist when it would
   // empty the farm -- a lone chip must get to retry its own transient).
   std::vector<bool> stage_faulted(farm_.size(), false);
   bool any_faulted = false;
   std::size_t retries_left = opts_.max_stage_retries;
+  const auto poisoned = [&](std::size_t r) { return s.errs[r] != nullptr; };
 
   while (!todo.empty()) {
     const auto assign =
         place_items(todo.size(), any_faulted ? &stage_faulted : nullptr);
+    // Each chip's placed units reduce to a request set R_c and a tower set
+    // T_c, both ascending.
     std::vector<std::size_t> active;
-    for (std::size_t c = 0; c < assign.size(); ++c)
-      if (!assign[c].empty()) active.push_back(c);
+    std::vector<std::vector<std::size_t>> chip_reqs(farm_.size());
+    std::vector<std::vector<std::size_t>> chip_towers(farm_.size());
+    for (std::size_t c = 0; c < assign.size(); ++c) {
+      if (assign[c].empty()) continue;
+      active.push_back(c);
+      if (rows) {
+        for (std::size_t j : assign[c]) chip_reqs[c].push_back(live[todo[j]]);
+        chip_towers[c] = all_towers;
+      } else {
+        chip_reqs[c] = live;
+        for (std::size_t j : assign[c]) chip_towers[c].push_back(todo[j]);
+      }
+    }
     std::vector<std::exception_ptr> chip_errs(farm_.size());
     exec_.for_each(active.size(), [&](std::size_t k) {
       const std::size_t c = active[k];
-      // Translate placement-local indices back to stage-local item ids.
-      std::vector<std::size_t> placed;
-      placed.reserve(assign[c].size());
-      for (std::size_t j : assign[c]) placed.push_back(todo[j]);
       const auto t0 = Clock::now();
       const auto stage_span =
           opts_.trace != nullptr
               ? opts_.trace->span_wall(
                     "stage", "round",
                     {{"chip", static_cast<double>(c)},
-                     {"items", static_cast<double>(placed.size())}})
+                     {"items", static_cast<double>(assign[c].size())}})
               : obs::TraceRecorder::WallSpan();
       driver::ChipMulReport rep;
       rep.trace = opts_.trace;
       rep.trace_chip = static_cast<std::uint32_t>(c);
       StageCounters n;
+      n.requests = chip_reqs[c].size();
       try {
-        work(c, placed, rep, n);
+        for (std::size_t tw : chip_towers[c])
+          run_tile(s, kernel, c, tw, chip_reqs[c], rep, n);
         if (opts_.stage_timeout_seconds > 0 &&
             sim_seconds(rep) > opts_.stage_timeout_seconds) {
           // Modeled stage budget blown (injected stalls inflating the
@@ -858,24 +845,23 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
         std::lock_guard<std::mutex> lk(mu_);
         if (chip_errs[c] == nullptr) {
           note_chip_ok_locked(
-              c, sim_seconds(rep) / static_cast<double>(placed.size()));
+              c, sim_seconds(rep) / static_cast<double>(assign[c].size()));
         } else if (is_fault(chip_errs[c])) {
           note_chip_fault_locked(c);
         }
       }
     });
 
-    std::vector<std::size_t> next_todo;
-    bool round_poisoned = false;
+    std::vector<std::size_t> retry;
     for (std::size_t c : active) {
       if (chip_errs[c] == nullptr) continue;
       if (is_fault(chip_errs[c]) && retries_left > 0) {
-        // Healing layer 1: re-place this chip's share within the stage.
-        // The work bodies are pure functions of host-resident operands, so
+        // Healing layer 1: re-place this chip's units within the stage.
+        // The kernels are pure functions of host-resident operands, so
         // re-running them (usually on another chip) is idempotent.
         stage_faulted[c] = true;
         any_faulted = true;
-        for (std::size_t j : assign[c]) next_todo.push_back(todo[j]);
+        for (std::size_t j : assign[c]) retry.push_back(todo[j]);
         if (opts_.trace != nullptr)
           opts_.trace->instant_wall("retry", "heal",
                                     {{"chip", static_cast<double>(c)}});
@@ -883,132 +869,52 @@ void EvalService::run_stage(Session& s, const std::vector<std::size_t>& live,
         ++stats_.retries;
         continue;
       }
-      // Out of retries, or not a fault at all: surface the originating
-      // error.  First error wins -- nothing may overwrite it later.
-      if (per_item_errors) {
-        // Batch strategies: only the chip's own placed requests are lost.
-        for (std::size_t j : assign[c]) {
-          const std::size_t r = live[todo[j]];
-          if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
-        }
-      } else {
-        // Tower shards: a lost shard starves every request in the round.
-        for (std::size_t r : live)
-          if (s.errs[r] == nullptr) s.errs[r] = chip_errs[c];
-        round_poisoned = true;
-      }
+      // Out of retries, or not a fault at all: the chip's failed tiles
+      // poison the requests they cover with the originating error.  First
+      // error wins -- nothing may overwrite it later.
+      for (std::size_t r : chip_reqs[c])
+        if (!poisoned(r)) s.errs[r] = chip_errs[c];
     }
-    if (round_poisoned || next_todo.empty()) break;
+    // A unit whose requests are all poisoned has nothing left to compute.
+    // A lost column covers every live request, so it ends the stage.
+    std::erase_if(retry, [&](std::size_t u) {
+      return rows ? poisoned(live[u])
+                  : std::all_of(live.begin(), live.end(), poisoned);
+    });
+    if (retry.empty()) break;
     --retries_left;
-    std::sort(next_todo.begin(), next_todo.end());
-    todo = std::move(next_todo);
+    std::sort(retry.begin(), retry.end());
+    todo = std::move(retry);
   }
 }
 
-void EvalService::run_mult_batch_per_chip(Session& s,
-                                          const std::vector<std::size_t>& live,
-                                          std::vector<double>& chip_sim) {
+void EvalService::run_tile(Session& s, Kernel kernel, std::size_t c, std::size_t tw,
+                           const std::vector<std::size_t>& reqs,
+                           driver::ChipMulReport& rep, StageCounters& n) {
   using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Whole requests onto chips, then one tower-outer session per chip: one
-  // ring configuration serves the chip's whole share of the round.
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t i : placed) {
-                  const std::size_t r = live[i];
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_mult_shard_towers(Session& s,
-                                        const std::vector<std::size_t>& live,
-                                        std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().ext_basis().size();
-  // Towers onto chips: every chip configures its towers once each and runs
-  // them for every request in the round.
-  run_stage(s, live, chip_sim, towers, /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              key_caches_[c].invalidate();  // tensor uploads clobber SP1
-              n.requests = live.size();
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
-                for (std::size_t r : live) {
-                  ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
-                  ChipBfvEvaluator::execute_tower(drv, &rep);
-                  s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
-                  ++n.tower_runs;
-                }
-              }
-            });
-}
-
-void EvalService::run_relin_batch_per_chip(Session& s,
-                                           const std::vector<std::size_t>& live,
-                                           std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  const std::size_t towers = scheme_.context().q_basis().size();
-  run_stage(s, live, chip_sim, live.size(), /*per_item_errors=*/true,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              // The chip's share of the round as one group per tower: the
-              // batched key switch shares key uploads across the group
-              // (SP1 key cache).
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(placed.size());
-              for (std::size_t i : placed) group.push_back(&s.slots[live[i]].relin);
-              n.requests = placed.size();
-              for (std::size_t tw = 0; tw < towers; ++tw) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < placed.size(); ++j)
-                  s.slots[live[placed[j]]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += group.size();
-              }
-            });
-}
-
-void EvalService::run_relin_shard_towers(Session& s,
-                                         const std::vector<std::size_t>& live,
-                                         std::vector<double>& chip_sim) {
-  using driver::ChipBfvEvaluator;
-  run_stage(s, live, chip_sim, scheme_.context().q_basis().size(),
-            /*per_item_errors=*/false,
-            [&](std::size_t c, const std::vector<std::size_t>& placed,
-                driver::ChipMulReport& rep, StageCounters& n) {
-              auto& drv = farm_.driver(c);
-              std::vector<const driver::RelinOperands*> group;
-              group.reserve(live.size());
-              for (std::size_t r : live) group.push_back(&s.slots[r].relin);
-              n.requests = live.size();
-              // Chip c owns its placed Q towers of every request's key
-              // switch.
-              for (std::size_t tw : placed) {
-                ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
-                auto accs = ChipBfvEvaluator::relin_tower_batch(
-                    drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c],
-                    &rep);
-                for (std::size_t j = 0; j < live.size(); ++j)
-                  s.slots[live[j]].relin_accs[tw] = std::move(accs[j]);
-                n.relin_tower_runs += live.size();
-              }
-            });
+  auto& drv = farm_.driver(c);
+  if (kernel == Kernel::kTensor) {
+    key_caches_[c].invalidate();  // tensor uploads clobber SP1
+    ChipBfvEvaluator::configure_tower(drv, scheme_, tw, &rep);
+    for (std::size_t r : reqs) {
+      ChipBfvEvaluator::load_tower(drv, s.slots[r].mult, tw, &rep);
+      ChipBfvEvaluator::execute_tower(drv, &rep);
+      s.slots[r].tensors[tw] = ChipBfvEvaluator::read_tower(drv, &rep);
+      ++n.tower_runs;
+    }
+    return;
+  }
+  // One batched key switch over the whole request set shares key uploads
+  // across the group (SP1 key cache).
+  std::vector<const driver::RelinOperands*> group;
+  group.reserve(reqs.size());
+  for (std::size_t r : reqs) group.push_back(&s.slots[r].relin);
+  ChipBfvEvaluator::configure_relin_tower(drv, scheme_, tw, &rep);
+  auto accs = ChipBfvEvaluator::relin_tower_batch(
+      drv, scheme_, group, *opts_.relin_keys, tw, &key_caches_[c], &rep);
+  for (std::size_t j = 0; j < reqs.size(); ++j)
+    s.slots[reqs[j]].relin_accs[tw] = std::move(accs[j]);
+  n.relin_tower_runs += reqs.size();
 }
 
 void EvalService::note_chip_fault_locked(std::size_t chip) {
@@ -1037,8 +943,8 @@ void EvalService::note_chip_ok_locked(std::size_t chip, double unit_cost_sample)
 void EvalService::probe_quarantined(bool force) {
   // Snapshot the due probes under the lock, run them outside it (a probe is
   // real link traffic and can throw).  Serialization with sessions comes
-  // from the call sites: the chained chip stage, which never places work on
-  // a quarantined chip.
+  // from the call sites: the chip stage, which runs one at a time and never
+  // places work on a quarantined chip.
   std::vector<std::size_t> due;
   {
     std::lock_guard<std::mutex> lk(mu_);

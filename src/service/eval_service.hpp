@@ -33,9 +33,11 @@
 //    serve the ring is skipped; if no chip can, requests fail with
 //    FarmCapacityError;
 //  * a K-slot session ring (ServiceOptions::pipeline_depth): up to K-1
-//    rounds ride the pipeline with their chip stages chained while the
-//    dispatcher prepares ahead and defers finishes, generalizing the v1
-//    two-slot double buffer (depth 1 = fully serial reference);
+//    rounds ride the pipeline with their chip stages queued, in ring
+//    order, on one persistent chip-stage worker while the dispatcher
+//    prepares ahead and defers finishes, generalizing the v1 two-slot
+//    double buffer.  Depth 1 is a ring of one: the chip stage runs inline
+//    and every phase back-to-back (the fully serial reference);
 //  * batch-aware relin-key caching: one driver::RelinKeyCache per chip
 //    skips re-uploading key towers shared by consecutive key-switch
 //    products in a session (counted in ServiceStats::key_cache_hits,
@@ -52,6 +54,13 @@
 // (stalling) chip sheds load before it ever trips quarantine.  See the
 // ServiceOptions healing knobs and ServiceStats::{faults_injected, retries,
 // requeues, quarantines, readmissions}.
+//
+// A chip stage is a grid of (request x tower) tiles.  Strategy picks the
+// tile shape the Placer deals out -- rows (one request, every tower) or
+// columns (every request, one tower) -- and one stage body serves both:
+// each chip runs `for tw in T_c: kernel(R_c, tw)` over the request and
+// tower sets its tiles cover, and a tile that fails for good poisons the
+// requests it covers.
 //
 // All paths produce ciphertexts byte-identical to the serial single-chip
 // software path (tests/service/: test_eval_service.cpp, test_scheduler.cpp,
@@ -75,6 +84,7 @@
 #include <vector>
 
 #include "backend/exec_policy.hpp"
+#include "backend/thread_pool.hpp"
 #include "bfv/bfv.hpp"
 #include "driver/chip_bfv.hpp"
 #include "service/chip_farm.hpp"
@@ -92,14 +102,17 @@ class TraceRecorder;
 
 namespace cofhee::service {
 
-/// How a round's chip work is split across the farm.
+/// How a round's chip work is split across the farm: the shape of the
+/// (request x tower) tiles the Placer deals out to chips.
 enum class Strategy : std::uint8_t {
-  /// Whole requests placed onto chips; each chip runs its share of a round
-  /// as one session, ring-configuring every tower once for the group.
+  /// Rows: whole requests placed onto chips; each chip runs its share of a
+  /// round as one session, ring-configuring every tower once for the group.
+  /// A chip that fails for good loses only its own requests.
   kBatchPerChip = 0,
-  /// One round's towers placed across the farm (every chip serves its
-  /// towers for every request) and reassembled on the host.  Cuts
-  /// single-request latency by ~|towers|/C.
+  /// Columns: one round's towers placed across the farm (every chip serves
+  /// its towers for every request) and reassembled on the host.  Cuts
+  /// single-request latency by ~|towers|/C; a column that fails for good
+  /// starves every request of the round.
   kShardTowers = 1,
 };
 
@@ -110,20 +123,17 @@ struct ServiceOptions {
   /// Most requests one dispatcher round coalesces into chip sessions.
   /// 1 reproduces the one-request-per-session serial behavior.
   std::size_t max_batch = 16;
-  /// Fan sessions out over a pooled Executor sized to the farm; false runs
-  /// the whole scheduler single-threaded (the bit-exact reference shape).
+  /// Fan per-request host work and per-chip sessions out over a pooled
+  /// Executor sized to the farm; false runs those loops serially.  The
+  /// whole scheduler is then single-threaded only at pipeline_depth = 1 (the
+  /// bit-exact reference shape); deeper rings still run chip stages on the
+  /// chip-stage worker, concurrently with the dispatcher.
   bool pooled_dispatch = true;
   /// Key material for kRelinearize / kMultRelin requests; the caller keeps
   /// it alive for the service's lifetime.  Validated against the scheme at
   /// construction (std::invalid_argument on a level/ring mismatch).
   /// Submitting a relin request while this is null throws.
   const bfv::RelinKeys* relin_keys = nullptr;
-  /// Pipelined rounds: prepare round k host-side while earlier rounds'
-  /// chip stages are in flight, and defer finishes behind the session
-  /// ring.  false executes every phase back-to-back (the reference
-  /// schedule; results are bit-identical either way).  Equivalent to
-  /// pipeline_depth = 1 when false.
-  bool overlap_rounds = true;
   /// Pending-request capacity, counting queued requests AND requests
   /// already drained into in-flight rounds (so a deep pipeline cannot hold
   /// ~pipeline_depth x the bound); 0 means unbounded.  submit_batch()
@@ -148,10 +158,11 @@ struct ServiceOptions {
   /// model (the default) or the v1 round-robin stride.
   Placement placement = Placement::kLoadAware;
   /// Session-ring depth K: up to K-1 rounds keep their chip stages in
-  /// flight while the dispatcher prepares ahead and defers finishes.
-  /// 1 disables pipelining (fully serial reference), 2 reproduces the v1
-  /// two-slot double buffer.  Normalized to >= 1; ignored (treated as 1)
-  /// when overlap_rounds is false.
+  /// flight while the dispatcher prepares round k host-side and defers
+  /// finishes.  1 is a ring of one: every phase runs back-to-back on the
+  /// dispatcher (the fully serial reference schedule); 2 reproduces the v1
+  /// two-slot double buffer.  Results are bit-identical at every depth.
+  /// Normalized to >= 1.
   std::size_t pipeline_depth = 2;
   /// Most distinct tenant ids tracked individually in
   /// ServiceStats::per_tenant; later ids aggregate under
@@ -160,7 +171,7 @@ struct ServiceOptions {
   /// fairness is unaffected -- only the stats breakdown is capped.
   std::size_t max_tracked_tenants = 256;
   /// Healing, layer 1 -- intra-stage retries: when a chip's share of a
-  /// stage faults (chip::FaultError), its items are re-placed onto the
+  /// stage faults (chip::FaultError), its tiles are re-placed onto the
   /// remaining eligible chips and the stage re-run, up to this many times
   /// per stage before the fault is surfaced to the round.  Sessions are
   /// pure functions of host-resident operands, so re-running is safe.
@@ -277,7 +288,7 @@ class EvalService {
     std::vector<Pending> round;
     std::vector<RoundSlot> slots;
     std::vector<std::exception_ptr> errs;
-    std::shared_future<void> chip;  // in-flight chip stage (pipelined mode)
+    std::future<void> chip;  // chip stage queued on the chip-stage worker
     double sim_prep = 0;      // modeled host seconds, pre-chip
     double sim_chip = 0;      // round chip-stage span (simulated)
     double sim_finish = 0;    // modeled host seconds, post-chip
@@ -316,7 +327,8 @@ class EvalService {
   /// Host phase 1: base extension / digit decomposition per request.
   void host_prepare(Session& s);
   /// Chip stage: tensor sessions, mult-relin mid-round host work, then
-  /// key-switch sessions.  Fills s.sim_chip.
+  /// key-switch sessions.  Fills s.sim_chip.  Runs on the chip-stage
+  /// worker (inline at pipeline_depth 1), one stage at a time.
   void run_chip_stage(Session& s);
   /// Host phase 2: reassembly / rounding, promise fulfillment.
   void host_finish(Session& s);
@@ -349,34 +361,32 @@ class EvalService {
     std::uint64_t relin_tower_runs = 0;
   };
 
-  /// Shared stage scaffold: place `items` onto chips, fan the per-chip
-  /// `work(chip, placed_items, report, counters)` body out over the
-  /// Executor, and record per-chip stats/sim time.  A chip whose share
-  /// faults (chip::FaultError, or a modeled stage timeout) has its items
-  /// re-placed onto the other eligible chips and re-run, up to
-  /// ServiceOptions::max_stage_retries times -- the work bodies are pure
-  /// functions of host-resident operands, so re-running is idempotent.
-  /// Only when retries are exhausted (or the failure is not a fault) is
-  /// the error folded into s.errs: onto the chip's own placed slots when
-  /// `per_item_errors` (batch strategies, items index `live`), onto every
-  /// live slot otherwise (tower shards: any lost shard starves the whole
-  /// round).  Defined in eval_service.cpp (only used there).
-  template <typename Work>
-  void run_stage(Session& s, const std::vector<std::size_t>& live,
-                 std::vector<double>& chip_sim, std::size_t items,
-                 bool per_item_errors, Work&& work);
+  /// The chip work a stage runs on each of its tiles.
+  enum class Kernel : std::uint8_t {
+    kTensor,  ///< Eq. 4 tensor over the extended basis, per request.
+    kRelin,   ///< Algorithm-2 key switch over the Q basis, batched.
+  };
 
-  /// Tensor-stage fan-out; writes tensors for `live` slots, records
-  /// per-chip stats and folds chip failures into s.errs.
-  void run_mult_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                               std::vector<double>& chip_sim);
-  void run_mult_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                             std::vector<double>& chip_sim);
-  /// Key-switch-stage fan-out over the Q basis, same shapes as above.
-  void run_relin_batch_per_chip(Session& s, const std::vector<std::size_t>& live,
-                                std::vector<double>& chip_sim);
-  void run_relin_shard_towers(Session& s, const std::vector<std::size_t>& live,
-                              std::vector<double>& chip_sim);
+  /// One chip sub-stage over the (live request x tower) tile grid.  The
+  /// Strategy's tile shape is the placement unit; each chip's placed units
+  /// reduce to a request set R_c and a tower set T_c (both ascending) and
+  /// the chip runs run_tile for every tw in T_c, fanned out over the
+  /// Executor, with per-chip stats/sim time recorded into `chip_sim`.  A
+  /// chip whose share faults (chip::FaultError, or a modeled stage
+  /// timeout) has its units re-placed onto the other eligible chips and
+  /// re-run, up to ServiceOptions::max_stage_retries times -- the kernels
+  /// are pure functions of host-resident operands, so re-running is
+  /// idempotent.  A chip that fails for good (retries exhausted, or not a
+  /// fault) poisons the requests its tiles cover in s.errs; any unit whose
+  /// requests are then all poisoned drops out of the retry set.
+  void run_stage(Session& s, Kernel kernel, const std::vector<std::size_t>& live,
+                 std::vector<double>& chip_sim);
+  /// Tower `tw` of `kernel` on chip `c` for the requests `reqs`: ring
+  /// configuration, then load/execute/read per request (kTensor) or one
+  /// batched key switch over the group (kRelin).
+  void run_tile(Session& s, Kernel kernel, std::size_t c, std::size_t tw,
+                const std::vector<std::size_t>& reqs, driver::ChipMulReport& rep,
+                StageCounters& n);
 
   void note_chip_session(std::size_t chip, const driver::ChipMulReport& rep,
                          std::uint64_t requests, std::uint64_t tower_runs,
@@ -409,7 +419,6 @@ class EvalService {
   const bfv::Bfv& scheme_;
   ChipFarm& farm_;
   ServiceOptions opts_;
-  std::size_t depth_;  // effective session-ring depth (>= 1)
   backend::Executor exec_;
   std::vector<bool> chip_eligible_;     // can chip c serve the ring at all?
   std::vector<double> chip_unit_cost_;  // measured EWMA seconds per work item
@@ -438,6 +447,10 @@ class EvalService {
   Clock::time_point first_accept_{};
   Clock::time_point last_done_{};
   Clock::time_point start_;
+  // Runs the session ring's chip stages in FIFO (ring) order: one worker
+  // thread at pipeline_depth > 1, none (inline) for a ring of one.
+  // Declared after everything a chip stage touches.
+  backend::ThreadPool chip_worker_;
   std::thread dispatcher_;
 };
 

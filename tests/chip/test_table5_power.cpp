@@ -2,6 +2,9 @@
 // Table V: every row must stay within 10% (the fit currently holds ~7%).
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "chip/chip.hpp"
 #include "driver/host_driver.hpp"
 #include "nt/primes.hpp"
@@ -15,6 +18,18 @@ struct PowerCase {
   std::size_t n;
   double avg_mw, peak_mw;
 };
+
+// Names each case "<algo>_<n>". Without it gtest names the case by the raw
+// bytes of PowerCase, which include the address of `algo` and so change
+// from one process to the next.
+std::string power_case_name(const ::testing::TestParamInfo<PowerCase>& info) {
+  return std::string(info.param.algo) + "_" + std::to_string(info.param.n);
+}
+
+// The case name already carries algo and n; print the silicon avg/peak.
+void PrintTo(const PowerCase& pc, std::ostream* os) {
+  *os << pc.avg_mw << "/" << pc.peak_mw << " mW";
+}
 
 class TableVPower : public ::testing::TestWithParam<PowerCase> {};
 
@@ -52,7 +67,8 @@ INSTANTIATE_TEST_SUITE_P(PaperTableV, TableVPower,
                                            PowerCase{"iNTT", 4096, 19.9, 27.2},
                                            PowerCase{"PolyMul", 8192, 21.2, 29.7},
                                            PowerCase{"NTT", 8192, 24.4, 29.7},
-                                           PowerCase{"iNTT", 8192, 18.3, 23.9}));
+                                           PowerCase{"iNTT", 8192, 18.3, 23.9}),
+                         power_case_name);
 
 }  // namespace
 }  // namespace cofhee::chip

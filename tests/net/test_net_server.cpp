@@ -9,6 +9,7 @@
 // backpressure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -155,6 +156,33 @@ TEST(NetServer, MetricsEndpointMatchesServiceStats) {
     EXPECT_NE(text.find("cofhee_net_connections_total"), std::string::npos);
   }
   cli.bye();
+}
+
+TEST(NetServer, FinishedSessionThreadsAreReaped) {
+  // Every HTTP scrape is a one-shot session with its own thread.  A
+  // long-lived server must join finished sessions as it accepts new ones,
+  // so the handles it keeps stay bounded by open connections rather than
+  // growing with every connection ever served.  A session is marked
+  // finished before its socket closes, so once a scrape has read EOF the
+  // next accept always reaps it: at most the last scrape's handle remains.
+  NetFixture f;
+  service::ChipFarm farm(1);
+  service::ServiceOptions sopts;
+  sopts.relin_keys = &f.rk;
+  service::EvalService svc(f.scheme, farm, sopts);
+  EvalServer server(svc);
+  constexpr std::size_t kScrapes = 300;
+  std::size_t most = 0;
+  for (std::size_t i = 0; i < kScrapes; ++i) {
+    const std::string text = http_get_metrics("127.0.0.1", server.port());
+    ASSERT_NE(text.find("cofhee_net_http_requests_total"), std::string::npos);
+    most = std::max(most, server.session_threads());
+  }
+  EXPECT_LE(most, 1u);
+  EXPECT_EQ(server.stats().http_requests, kScrapes);
+  EXPECT_EQ(server.stats().connections_accepted, kScrapes);
+  server.stop();
+  EXPECT_EQ(server.session_threads(), 0u);
 }
 
 TEST(NetServer, VersionMismatchIsANegotiationNotADrop) {

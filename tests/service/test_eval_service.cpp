@@ -145,18 +145,19 @@ TEST(EvalService, MixedKindRoundIsBitExact) {
 }
 
 TEST(EvalService, OverlappedRoundsMatchSequentialRounds) {
-  // Double-buffering changes scheduling only: with overlap on, trickled
-  // rounds must still produce byte-identical ciphertexts, and the stats
-  // must show the pipeline actually engaged.
+  // Double-buffering changes scheduling only: with a two-slot ring,
+  // trickled rounds must still produce byte-identical ciphertexts as the
+  // ring of one, and the stats must show the pipeline actually engaged.
   ServiceFixture f;
   const auto reqs = f.requests_of(RequestKind::kMultRelin);
   std::vector<bfv::Ciphertext> got_overlap, got_serial;
-  for (bool overlap : {true, false}) {
+  for (std::size_t depth : {2u, 1u}) {
+    const bool overlap = depth > 1;
     ChipFarm farm(2);
     ServiceOptions opts;
     opts.max_batch = 1;  // one request per round -> many rounds to pipeline
     opts.relin_keys = &f.rk;
-    opts.overlap_rounds = overlap;
+    opts.pipeline_depth = depth;
     EvalService svc(f.scheme, farm, opts);
     std::vector<std::future<bfv::Ciphertext>> futures;
     for (const auto& r : reqs) futures.push_back(svc.submit(r));
@@ -193,7 +194,7 @@ TEST(EvalService, PipelineModelShowsOverlapOnBackloggedTraffic) {
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.relin_keys = &f.rk;
-  opts.overlap_rounds = true;
+  opts.pipeline_depth = 2;
   EvalService svc(f.scheme, farm, opts);
   auto futures = svc.submit_batch(reqs);  // atomic: queue is backlogged
   for (auto& fu : futures) (void)fu.get();

@@ -313,34 +313,90 @@ TEST(FaultInjection, StageTimeoutBudgetTreatsSlowSharesAsFaults) {
 TEST(FaultInjection, SeededChaosMatrixNeverHangsOrCorrupts) {
   AlarmGuard guard(480);
   ChaosFixture f;
-  // The acceptance matrix: random seeded schedules x 1/2/4-chip farms x
-  // pipeline depths 1/2/4.  Every request must settle (bit-exact value or
-  // typed error) under the alarm; counters must stay coherent.  The traced
-  // seed reproduces any failing cell exactly.
+  // The acceptance matrix: random seeded schedules x both tile shapes x
+  // 1/2/4-chip farms x pipeline depths 1/2/4.  Every request must settle
+  // (bit-exact value or typed error) under the alarm; counters must stay
+  // coherent.  The traced seed reproduces any failing cell exactly.
   const std::uint64_t seeds[] = {7, 1001, 424242};
-  for (std::size_t chips : {1u, 2u, 4u}) {
-    for (std::size_t depth : {1u, 2u, 4u}) {
-      for (std::uint64_t seed : seeds) {
-        SCOPED_TRACE("chips=" + std::to_string(chips) +
-                     " depth=" + std::to_string(depth) +
-                     " fault_schedule_seed=" + std::to_string(seed));
-        std::vector<ChipSpec> specs(chips);
-        for (std::size_t c = 0; c < chips; ++c)
-          specs[c].faults = chip::FaultSchedule::random(
-              seed + c, /*op_horizon=*/3000, /*num_events=*/5,
-              /*link_timeout_seconds=*/0.05);
-        ChipFarm farm(specs);
-        auto opts = f.base_opts();
-        opts.pipeline_depth = depth;
-        opts.overlap_rounds = depth > 1;
-        opts.max_batch = 3;  // several rounds per wave
-        EvalService svc(f.scheme, farm, opts);
-        auto futs = svc.submit_batch(f.requests);
-        (void)settle(futs, f);  // bit-exact or typed -- both acceptable here
-        svc.drain();
-        expect_counter_invariants(svc.stats());
+  for (Strategy strategy : {Strategy::kBatchPerChip, Strategy::kShardTowers}) {
+    for (std::size_t chips : {1u, 2u, 4u}) {
+      for (std::size_t depth : {1u, 2u, 4u}) {
+        for (std::uint64_t seed : seeds) {
+          SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strategy)) +
+                       " chips=" + std::to_string(chips) +
+                       " depth=" + std::to_string(depth) +
+                       " fault_schedule_seed=" + std::to_string(seed));
+          std::vector<ChipSpec> specs(chips);
+          for (std::size_t c = 0; c < chips; ++c)
+            specs[c].faults = chip::FaultSchedule::random(
+                seed + c, /*op_horizon=*/3000, /*num_events=*/5,
+                /*link_timeout_seconds=*/0.05);
+          ChipFarm farm(specs);
+          auto opts = f.base_opts();
+          opts.strategy = strategy;
+          opts.pipeline_depth = depth;
+          opts.max_batch = 3;  // several rounds per wave
+          EvalService svc(f.scheme, farm, opts);
+          auto futs = svc.submit_batch(f.requests);
+          (void)settle(futs, f);  // bit-exact or typed -- both acceptable here
+          svc.drain();
+          expect_counter_invariants(svc.stats());
+        }
       }
     }
+  }
+}
+
+TEST(FaultInjection, DeadChipLosesTheRequestsItsTilesCover) {
+  AlarmGuard guard(120);
+  ChaosFixture f;
+  // The tile error rule with every healing layer off: chip 0 of 2 dies on
+  // its first transaction, no stage retry, no requeue.  One tensor stage
+  // (kEvalMult), so each placement is one tile shape's unit.  Columns
+  // (kShardTowers) give the dead chip towers of every request, so the whole
+  // round fails with its error; rows (kBatchPerChip) give it whole
+  // requests, so exactly those fail and the healthy chip's stay bit-exact.
+  std::vector<EvalRequest> reqs = f.requests;
+  std::vector<bfv::Ciphertext> want;
+  for (auto& r : reqs) {
+    r.kind = RequestKind::kEvalMult;
+    want.push_back(f.scheme.multiply(r.a, r.b));
+  }
+  for (Strategy strategy : {Strategy::kShardTowers, Strategy::kBatchPerChip}) {
+    SCOPED_TRACE("strategy=" + std::to_string(static_cast<int>(strategy)));
+    std::vector<ChipSpec> specs(2);
+    specs[0].faults.events.push_back({chip::FaultKind::kKillChip, 0, 1, 0});
+    ChipFarm farm(specs);
+    auto opts = f.base_opts();
+    opts.strategy = strategy;
+    opts.max_stage_retries = 0;
+    opts.request_retries = 0;
+    EvalService svc(f.scheme, farm, opts);
+    auto futs = svc.submit_batch(reqs);
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      try {
+        expect_bit_exact(futs[i].get(), want[i]);
+      } catch (const chip::ChipFaultError&) {
+        ++failed;
+      }
+    }
+    svc.drain();
+    const auto st = svc.stats();
+    EXPECT_EQ(st.rounds, 1u);
+    EXPECT_EQ(st.retries, 0u);
+    EXPECT_EQ(st.requeues, 0u);
+    EXPECT_EQ(st.failed, failed);
+    EXPECT_EQ(st.completed + st.failed, reqs.size());
+    ASSERT_GT(st.per_chip[0].placements, 0u);
+    ASSERT_GT(st.per_chip[1].placements, 0u);
+    if (strategy == Strategy::kShardTowers) {
+      EXPECT_EQ(failed, reqs.size());
+    } else {
+      EXPECT_EQ(failed, st.per_chip[0].placements);
+      EXPECT_EQ(st.completed, st.per_chip[1].placements);
+    }
+    expect_counter_invariants(st);
   }
 }
 

@@ -156,14 +156,14 @@ TEST(ServiceEdgeCases, RelinRequestsNeedKeysAndThreeElements) {
 }
 
 TEST(ServiceEdgeCases, ShutdownDrainsThePipelinedSession) {
-  // With overlap on and single-request rounds, shutdown must wait for both
-  // the queued rounds and the in-flight double-buffered session.
+  // With a two-slot ring and single-request rounds, shutdown must wait for
+  // both the queued rounds and the in-flight double-buffered session.
   EdgeFixture f;
   ChipFarm farm(1);
   ServiceOptions opts;
   opts.max_batch = 1;
   opts.relin_keys = &f.rk;
-  opts.overlap_rounds = true;
+  opts.pipeline_depth = 2;
   std::vector<std::future<bfv::Ciphertext>> futures;
   {
     EvalService svc(f.scheme, farm, opts);
