@@ -4,18 +4,20 @@
 // Histogram (fixed ascending buckets + implicit +Inf) -- grouped into
 // families by metric name, each family carrying a help string and any
 // number of label-set instances.  render() emits the text format scrapers
-// and dashboards expect:
+// and dashboards expect (the histogram family here is illustrative; the
+// service exports its latency books as quantile gauges, see
+// obs/service_export.hpp):
 //
 //   # HELP cofhee_service_requests_submitted_total Requests accepted.
 //   # TYPE cofhee_service_requests_submitted_total counter
 //   cofhee_service_requests_submitted_total 4096
-//   # HELP cofhee_request_latency_seconds Submit-to-completion latency.
-//   # TYPE cofhee_request_latency_seconds histogram
-//   cofhee_request_latency_seconds_bucket{class="normal",le="0.001"} 17
+//   # HELP cofhee_op_seconds Per-op wall time.
+//   # TYPE cofhee_op_seconds histogram
+//   cofhee_op_seconds_bucket{op="ntt",le="0.001"} 17
 //   ...
-//   cofhee_request_latency_seconds_bucket{class="normal",le="+Inf"} 420
-//   cofhee_request_latency_seconds_sum{class="normal"} 1.25
-//   cofhee_request_latency_seconds_count{class="normal"} 420
+//   cofhee_op_seconds_bucket{op="ntt",le="+Inf"} 420
+//   cofhee_op_seconds_sum{op="ntt"} 1.25
+//   cofhee_op_seconds_count{op="ntt"} 420
 //
 // Lookup (counter()/gauge()/histogram()) takes the registry mutex once and
 // returns a stable reference; the hot path -- add/set/observe on the

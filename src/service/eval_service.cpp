@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "chip/fault.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/errors.hpp"
 
@@ -36,6 +35,21 @@ bool is_fault(const std::exception_ptr& e) {
   } catch (...) {
     return false;
   }
+}
+
+// Fill every farm-wide chip total in `s` from s.per_chip, summed in
+// chip-index order -- a fixed order, so the double totals repeat bit for
+// bit however the chips' sessions interleaved.
+void sum_chip_totals(ServiceStats& s) {
+  const auto sum = [&s](const auto& table) {
+    for (const auto& row : table) {
+      if (row.farm == nullptr) continue;
+      s.*row.farm = 0;
+      for (const ChipStats& c : s.per_chip) s.*row.farm += c.*row.chip;
+    }
+  };
+  sum(kChipCounters);
+  sum(kChipSeconds);
 }
 
 }  // namespace
@@ -94,30 +108,15 @@ EvalService::EvalService(const bfv::Bfv& scheme, ChipFarm& farm, ServiceOptions 
   tenancy_enabled_ = opts_.tenancy.enabled();
   stats_.per_chip.resize(farm_.size());
   stats_.per_class.resize(kNumPriorities);
-  class_latency_.resize(kNumPriorities);
-  // Observability wiring, before any traffic: hand the recorder to every
-  // chip's driver and fault injector (they emit link/phase/fault events on
-  // their chip's sim tracks), and resolve the latency histograms once so
-  // the retire path only observe()s.
+  // Trace wiring, before any traffic: hand the recorder to every chip's
+  // driver and fault injector (they emit link/phase/fault events on their
+  // chip's sim tracks).
   if (opts_.trace != nullptr) {
     for (std::size_t c = 0; c < farm_.size(); ++c) {
       farm_.driver(c).set_tracer(opts_.trace, static_cast<std::uint32_t>(c));
       if (chip::FaultInjector* inj = farm_.fault_injector(c))
         inj->set_tracer(opts_.trace, static_cast<std::uint32_t>(c));
     }
-  }
-  if (opts_.metrics != nullptr) {
-    const std::vector<double> bounds = {0.0001, 0.00025, 0.0005, 0.001, 0.0025,
-                                        0.005,  0.01,    0.025,  0.05,  0.1,
-                                        0.25,   0.5,     1,      2.5,   5,
-                                        10};
-    static constexpr const char* kClassNames[kNumPriorities] = {"high", "normal",
-                                                                "low"};
-    for (std::size_t i = 0; i < kNumPriorities; ++i)
-      latency_hist_[i] = &opts_.metrics->histogram(
-          "cofhee_request_latency_seconds",
-          "Submit-to-completion request latency (wall seconds).", bounds,
-          {{"class", kClassNames[i]}});
   }
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
@@ -268,49 +267,38 @@ void EvalService::shutdown() {
 }
 
 ServiceStats EvalService::stats() const {
-  ServiceStats s;
-  std::vector<LatencyWindow> cls_windows;
-  std::vector<LatencyWindow> ten_windows;
-  {
-    // Under the mutex: plain copies only.  The percentile snapshots sort
-    // up to 4096 samples per window, so they run after the lock is
-    // released -- a monitoring poll must not stall submit/dispatch.
-    std::lock_guard<std::mutex> lk(mu_);
-    s = stats_;
-    for (std::size_t c = 0; c < farm_.size(); ++c) {
-      s.per_chip[c].ewma_unit_cost = chip_unit_cost_[c];
-      s.per_chip[c].quarantined = health_[c].quarantined;
-    }
-    s.max_class_skip = std::max(s.max_class_skip, queue_.max_skip_observed());
-    for (std::size_t c = 0; c < kNumPriorities; ++c)
-      s.per_class[c].queued = queue_.class_depth(c);
-    cls_windows = class_latency_;
-    s.per_tenant.reserve(tenants_.size());
-    ten_windows.reserve(tenants_.size());
-    for (const auto& [id, agg] : tenants_) {
-      s.per_tenant.push_back(agg.counts);
-      ten_windows.push_back(agg.latency);
-    }
-    s.queue_depth = queue_.size() + in_flight_;
-    s.wall_seconds = seconds_since(start_);
-    if (any_accepted_) {
-      const auto end =
-          (queue_.empty() && in_flight_ == 0) ? last_done_ : Clock::now();
-      s.active_seconds =
-          std::max(0.0, std::chrono::duration<double>(end - first_accept_).count());
-    }
-  }
-  // Injector counters are atomics (the chips' stage threads bump them);
-  // no lock needed, and farms without injectors contribute nothing.
-  for (std::size_t c = 0; c < farm_.size(); ++c)
+  // Every part is O(chips + classes + tenants x buckets), so the whole
+  // snapshot is taken under the mutex.
+  std::lock_guard<std::mutex> lk(mu_);
+  ServiceStats s = stats_;
+  for (std::size_t c = 0; c < farm_.size(); ++c) {
+    s.per_chip[c].ewma_unit_cost = chip_unit_cost_[c];
+    s.per_chip[c].quarantined = health_[c].quarantined;
+    // Injector counters are atomics (the chips' stage threads bump them);
+    // farms without injectors contribute nothing.
     if (const chip::FaultInjector* inj = farm_.fault_injector(c))
       s.faults_injected += inj->faults_fired();
-  for (std::size_t c = 0; c < cls_windows.size(); ++c)
-    s.per_class[c].latency = cls_windows[c].snapshot();
-  for (std::size_t t = 0; t < s.per_tenant.size(); ++t)
-    s.per_tenant[t].latency = ten_windows[t].snapshot();
+  }
+  sum_chip_totals(s);
+  s.max_class_skip = std::max(s.max_class_skip, queue_.max_skip_observed());
+  for (std::size_t c = 0; c < kNumPriorities; ++c) {
+    s.per_class[c].queued = queue_.class_depth(c);
+    s.per_class[c].latency = class_latency_[c].snapshot();
+  }
+  s.per_tenant.reserve(tenants_.size());
+  for (const auto& [id, agg] : tenants_) {
+    s.per_tenant.push_back(agg.counts);
+    s.per_tenant.back().latency = agg.latency.snapshot();
+  }
   std::sort(s.per_tenant.begin(), s.per_tenant.end(),
             [](const TenantStats& a, const TenantStats& b) { return a.tenant < b.tenant; });
+  s.queue_depth = queue_.size() + in_flight_;
+  s.wall_seconds = seconds_since(start_);
+  if (any_accepted_) {
+    const auto end = (queue_.empty() && in_flight_ == 0) ? last_done_ : Clock::now();
+    s.active_seconds =
+        std::max(0.0, std::chrono::duration<double>(end - first_accept_).count());
+  }
   return s;
 }
 
@@ -395,7 +383,7 @@ void EvalService::dispatcher_loop() {
         cur = std::make_unique<Session>();
         cur->round = queue_.pop_round(opts_.max_batch, seconds_since(start_));
         in_flight_ += cur->round.size();
-        ++stats_.rounds;
+        cur->ordinal = ++stats_.rounds;
         for (const Pending& p : cur->round) {
           auto& cls = stats_.per_class[static_cast<std::size_t>(p.so.priority)];
           ++cls.dispatched;
@@ -524,7 +512,7 @@ void EvalService::run_chip_stage(Session& s) {
   // an exclusive resource), so this is the one spot where probing a
   // quarantined chip cannot race a session: quarantined chips receive no
   // placements, and no other stage is running.
-  probe_quarantined(/*force=*/false);
+  probe_quarantined(s.ordinal, /*force=*/false);
   const std::size_t count = s.round.size();
   const auto& ctx = scheme_.context();
   const double n = static_cast<double>(ctx.n());
@@ -691,7 +679,6 @@ void EvalService::retire(Session& s) {
       const double lat = std::max(0.0, now - p.enqueued);
       class_latency_[cls_idx].record(lat);
       ten.latency.record(lat);
-      if (latency_hist_[cls_idx] != nullptr) latency_hist_[cls_idx]->observe(lat);
     }
     in_flight_ -= s.round.size();
     last_done_ = Clock::now();
@@ -717,7 +704,7 @@ std::vector<ChipScore> EvalService::chip_scores(
 }
 
 std::vector<std::vector<std::size_t>> EvalService::place_items(
-    std::size_t items, const std::vector<bool>* exclude) {
+    std::uint64_t round, std::size_t items, const std::vector<bool>* exclude) {
   const auto span =
       opts_.trace != nullptr
           ? opts_.trace->span_wall("placement", "round",
@@ -741,7 +728,7 @@ std::vector<std::vector<std::size_t>> EvalService::place_items(
     // right now (we are serialized with all chip activity -- see
     // run_chip_stage) and re-score; only a farm that still answers nothing
     // is a hard capacity error.
-    probe_quarantined(/*force=*/true);
+    probe_quarantined(round, /*force=*/true);
     std::lock_guard<std::mutex> lk(mu_);
     scores = chip_scores(exclude);
     if (exclude != nullptr && !any_eligible(scores)) scores = chip_scores(nullptr);
@@ -783,7 +770,7 @@ void EvalService::run_stage(Session& s, Kernel kernel,
 
   while (!todo.empty()) {
     const auto assign =
-        place_items(todo.size(), any_faulted ? &stage_faulted : nullptr);
+        place_items(s.ordinal, todo.size(), any_faulted ? &stage_faulted : nullptr);
     // Each chip's placed units reduce to a request set R_c and a tower set
     // T_c, both ascending.
     std::vector<std::size_t> active;
@@ -847,7 +834,7 @@ void EvalService::run_stage(Session& s, Kernel kernel,
           note_chip_ok_locked(
               c, sim_seconds(rep) / static_cast<double>(assign[c].size()));
         } else if (is_fault(chip_errs[c])) {
-          note_chip_fault_locked(c);
+          note_chip_fault_locked(c, s.ordinal);
         }
       }
     });
@@ -917,15 +904,14 @@ void EvalService::run_tile(Session& s, Kernel kernel, std::size_t c, std::size_t
   n.relin_tower_runs += reqs.size();
 }
 
-void EvalService::note_chip_fault_locked(std::size_t chip) {
+void EvalService::note_chip_fault_locked(std::size_t chip, std::uint64_t round) {
   auto& h = health_[chip];
   ++stats_.per_chip[chip].faults;
   ++h.consecutive_faults;
   if (!h.quarantined && opts_.quarantine_after > 0 &&
       h.consecutive_faults >= opts_.quarantine_after) {
     h.quarantined = true;
-    h.last_probe_round = stats_.rounds;
-    ++stats_.quarantines;
+    h.last_probe_round = round;
     ++stats_.per_chip[chip].quarantines;
     if (opts_.trace != nullptr)
       opts_.trace->instant_wall("quarantine", "heal",
@@ -940,7 +926,7 @@ void EvalService::note_chip_ok_locked(std::size_t chip, double unit_cost_sample)
     chip_unit_cost_[chip] = (1.0 - a) * chip_unit_cost_[chip] + a * unit_cost_sample;
 }
 
-void EvalService::probe_quarantined(bool force) {
+void EvalService::probe_quarantined(std::uint64_t round, bool force) {
   // Snapshot the due probes under the lock, run them outside it (a probe is
   // real link traffic and can throw).  Serialization with sessions comes
   // from the call sites: the chip stage, which runs one at a time and never
@@ -951,9 +937,8 @@ void EvalService::probe_quarantined(bool force) {
     for (std::size_t c = 0; c < health_.size(); ++c) {
       auto& h = health_[c];
       if (!h.quarantined || !chip_eligible_[c]) continue;
-      if (!force && stats_.rounds - h.last_probe_round < opts_.probe_interval_rounds)
-        continue;
-      h.last_probe_round = stats_.rounds;
+      if (!force && round - h.last_probe_round < opts_.probe_interval_rounds) continue;
+      h.last_probe_round = round;
       due.push_back(c);
     }
   }
@@ -968,12 +953,10 @@ void EvalService::probe_quarantined(bool force) {
       opts_.trace->instant_wall(ok ? "probe.ok" : "probe.fail", "heal",
                                 {{"chip", static_cast<double>(c)}});
     std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.probes;
     ++stats_.per_chip[c].probes;
     if (ok) {
       health_[c].quarantined = false;
       health_[c].consecutive_faults = 0;
-      ++stats_.readmissions;
       ++stats_.per_chip[c].readmissions;
       if (opts_.trace != nullptr)
         opts_.trace->instant_wall("readmit", "heal",
@@ -990,7 +973,6 @@ void EvalService::note_chip_session(std::size_t chip, const driver::ChipMulRepor
                                     double busy_wall_seconds) {
   if (tower_runs == 0 && relin_tower_runs == 0 && rep.towers == 0)
     return;  // chip sat this round out
-  const double compute_seconds = rep.chip_ms * 1e-3;
   std::lock_guard<std::mutex> lk(mu_);
   auto& c = stats_.per_chip[chip];
   ++c.sessions;
@@ -1007,18 +989,8 @@ void EvalService::note_chip_session(std::size_t chip, const driver::ChipMulRepor
   c.ring_configs += rep.towers;
   c.chip_cycles += rep.chip_cycles;
   c.io_seconds += rep.io_seconds;
-  c.compute_seconds += compute_seconds;
+  c.compute_seconds += rep.chip_ms * 1e-3;
   c.busy_wall_seconds += busy_wall_seconds;
-  ++stats_.sessions;
-  stats_.ks_products += rep.ks_products;
-  stats_.key_uploads += rep.key_uploads;
-  stats_.key_cache_hits += rep.key_cache_hits;
-  stats_.sram_reuses += rep.sram_reuses;
-  stats_.batched_writes += rep.batched_writes;
-  stats_.twiddle_cache_hits += rep.twiddle_cache_hits;
-  stats_.key_bytes_saved += rep.key_bytes_saved;
-  stats_.io_seconds += rep.io_seconds;
-  stats_.compute_seconds += compute_seconds;
 }
 
 }  // namespace cofhee::service

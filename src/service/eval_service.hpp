@@ -95,8 +95,6 @@
 #include "service/tenancy.hpp"
 
 namespace cofhee::obs {
-class Histogram;
-class MetricsRegistry;
 class TraceRecorder;
 }  // namespace cofhee::obs
 
@@ -207,12 +205,6 @@ struct ServiceOptions {
   /// site reduces to a pointer check (or nothing at all).  Export the trace
   /// only after drain() or shutdown() -- the recorder requires quiescence.
   obs::TraceRecorder* trace = nullptr;
-  /// Optional metrics registry (obs/metrics.hpp, caller-owned): the service
-  /// records per-class request-latency histograms
-  /// (cofhee_request_latency_seconds{class=...}) as requests settle.  For
-  /// the counter exposition, render obs::export_service_stats(stats(), reg)
-  /// into the same registry.
-  obs::MetricsRegistry* metrics = nullptr;
   /// Per-tenant admission limits (service/tenancy.hpp): token-bucket rate
   /// limits (submit throws RateLimitedError with a retry-after hint) and
   /// pending quotas over queued + in-flight requests (TenantQuotaError).
@@ -289,6 +281,7 @@ class EvalService {
     std::vector<RoundSlot> slots;
     std::vector<std::exception_ptr> errs;
     std::future<void> chip;  // chip stage queued on the chip-stage worker
+    std::uint64_t ordinal = 0;  // this round's stats_.rounds value at dispatch
     double sim_prep = 0;      // modeled host seconds, pre-chip
     double sim_chip = 0;      // round chip-stage span (simulated)
     double sim_finish = 0;    // modeled host seconds, post-chip
@@ -299,7 +292,7 @@ class EvalService {
   /// Per-tenant accumulator behind ServiceStats::per_tenant.
   struct TenantAgg {
     TenantStats counts;
-    LatencyWindow latency;
+    LatencyHistogram latency;
   };
 
   /// The tracked accumulator for `tenant`, or the kOverflowTenantId bucket
@@ -343,16 +336,17 @@ class EvalService {
   /// cost, starting from idle chips (stages are barrier-synchronized).
   [[nodiscard]] std::vector<ChipScore> chip_scores(
       const std::vector<bool>* exclude) const;
-  /// Place `items` uniform work items onto chips; returns the item indices
-  /// grouped per chip (empty for chips that sat the stage out) and counts
-  /// the placements into ServiceStats.  `exclude` (optional) blacklists
-  /// chips that already faulted this stage; if the blacklist would leave no
-  /// chip, it is ignored (a lone chip's transient fault must stay
-  /// retryable).  If quarantine alone leaves no chip, every quarantined
-  /// chip is force-probed once and passing chips re-admitted; only if the
-  /// farm is still empty does this throw FarmCapacityError.
+  /// Place `items` uniform work items onto chips for round `round`;
+  /// returns the item indices grouped per chip (empty for chips that sat
+  /// the stage out) and counts the placements into ServiceStats.
+  /// `exclude` (optional) blacklists chips that already faulted this stage;
+  /// if the blacklist would leave no chip, it is ignored (a lone chip's
+  /// transient fault must stay retryable).  If quarantine alone leaves no
+  /// chip, every quarantined chip is force-probed once and passing chips
+  /// re-admitted; only if the farm is still empty does this throw
+  /// FarmCapacityError.
   std::vector<std::vector<std::size_t>> place_items(
-      std::size_t items, const std::vector<bool>* exclude = nullptr);
+      std::uint64_t round, std::size_t items, const std::vector<bool>* exclude);
 
   /// Work counters one chip's stage body reports into note_chip_session.
   struct StageCounters {
@@ -394,26 +388,29 @@ class EvalService {
   /// Modeled host seconds for `ops` coefficient operations.
   [[nodiscard]] double host_seconds(double ops) const noexcept;
 
-  /// Healing bookkeeping for one chip fault: bump the fault counters and
-  /// quarantine the chip once ServiceOptions::quarantine_after consecutive
-  /// faults accumulate.  Caller holds mu_.
-  void note_chip_fault_locked(std::size_t chip);
+  /// Healing bookkeeping for one chip fault in round `round`: bump the
+  /// fault counters and quarantine the chip once
+  /// ServiceOptions::quarantine_after consecutive faults accumulate.
+  /// Caller holds mu_.
+  void note_chip_fault_locked(std::size_t chip, std::uint64_t round);
   /// Healing bookkeeping for a successful session: reset the chip's
   /// consecutive-fault count and fold `unit_cost_sample` (modeled seconds
   /// per placed item; <= 0 skips the update) into its placement EWMA.
   /// Caller holds mu_.
   void note_chip_ok_locked(std::size_t chip, double unit_cost_sample);
   /// Probe quarantined chips (HostDriver::probe) and re-admit the ones that
-  /// answer.  Respects ServiceOptions::probe_interval_rounds unless
-  /// `force`.  Called from the dispatcher with no session holding the
+  /// answer.  Paces probes ServiceOptions::probe_interval_rounds apart by
+  /// the probing stage's own round ordinal `round` (never the dispatcher's
+  /// live round count, which runs ahead while stages are in flight), unless
+  /// `force`.  Called from the chip stage, with no session holding the
   /// probed chips (quarantined chips receive no placements).  Takes mu_.
-  void probe_quarantined(bool force);
+  void probe_quarantined(std::uint64_t round, bool force);
 
   /// Per-chip healing state (guarded by mu_).
   struct ChipHealth {
     std::size_t consecutive_faults = 0;  ///< Faults since the last success.
     bool quarantined = false;            ///< Receiving probes, not sessions.
-    std::uint64_t last_probe_round = 0;  ///< stats_.rounds at the last probe.
+    std::uint64_t last_probe_round = 0;  ///< Round of the last probe/quarantine.
   };
 
   const bfv::Bfv& scheme_;
@@ -432,12 +429,10 @@ class EvalService {
   std::size_t in_flight_ = 0;
   std::uint64_t next_req_id_ = 0;  // async-trace request ids (guarded by mu_)
   bool stopping_ = false;
-  ServiceStats stats_;  // per_chip sized to the farm; queue_depth/wall filled on read
-  std::vector<LatencyWindow> class_latency_;           // kNumPriorities windows
-  // Per-class request-latency histograms, resolved once at construction
-  // (instrument lookup locks the registry; observe() is lock-free).  Null
-  // without ServiceOptions::metrics.
-  std::array<obs::Histogram*, kNumPriorities> latency_hist_{};
+  // per_chip sized to the farm; farm-wide chip totals, queue depths, wall
+  // clock and latency percentiles are filled on read by stats().
+  ServiceStats stats_;
+  std::array<LatencyHistogram, kNumPriorities> class_latency_;
   std::unordered_map<std::uint64_t, TenantAgg> tenants_;
   std::unordered_map<std::uint64_t, TenantState> tenancy_;  // guarded by mu_
   bool tenancy_enabled_ = false;  // cached opts_.tenancy.enabled()

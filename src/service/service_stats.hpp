@@ -12,12 +12,19 @@
 //  * the *pipeline model* replays the dispatcher's actual schedule on the
 //    simulated axis: one virtual host resource, one virtual chip-farm
 //    resource, advanced in the order phases really executed.  With
-//    double-buffered rounds enabled, host phases hide under chip phases and
-//    pipeline_span_seconds < serial_span_seconds; with overlap disabled the
-//    two spans coincide.
+//    ServiceOptions::pipeline_depth > 1, host phases hide under chip phases
+//    and pipeline_span_seconds < serial_span_seconds; at depth 1 (a ring of
+//    one) the two spans coincide.
+//
+// Every number is recorded once.  Chip work is counted per chip only: the
+// farm-wide twins in ServiceStats (kChipCounters rows with a farm member)
+// are filled on read as chip-index-ordered sums.  Latency lives in one
+// LatencyHistogram per class and per tracked tenant.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -102,73 +109,80 @@ struct ChipStats {
   }
 };
 
-/// Order statistics of request latencies (submit to completion), computed
-/// over a bounded window of the most recent samples.  Seconds (wall,
+/// Order statistics of request latencies (submit to completion), cumulative
+/// since the service started and estimated from a LatencyHistogram: each
+/// percentile is the upper bound of the ladder bucket holding its rank,
+/// clamped to max_seconds, so it lies in [exact, exact x
+/// LatencyHistogram::kRatio) for samples inside the ladder.  Seconds (wall,
 /// machine-dependent -- observability only, never regression-tracked).
 struct LatencyStats {
-  /// Samples ever recorded (not bounded by the window).  Count.
+  /// Samples ever recorded.  Count (exact).
   std::uint64_t count = 0;
-  /// Median latency over the retained window.  Seconds (wall).
+  /// Median latency (bucket-estimated).  Seconds (wall).
   double p50 = 0;
-  /// 95th-percentile latency over the retained window.  Seconds (wall).
+  /// 95th-percentile latency (bucket-estimated).  Seconds (wall).
   double p95 = 0;
-  /// 99th-percentile latency over the retained window.  Seconds (wall).
+  /// 99th-percentile latency (bucket-estimated).  Seconds (wall).
   double p99 = 0;
-  /// Largest latency ever recorded.  Seconds (wall).
+  /// Largest latency ever recorded.  Seconds (wall, exact).
   double max_seconds = 0;
 };
 
-/// Bounded sample window feeding LatencyStats: a fixed-capacity ring that
-/// overwrites the oldest sample, so long-lived services track recent
-/// behavior at O(1) memory per class/tenant.
-class LatencyWindow {
+/// Fixed-ladder latency histogram feeding LatencyStats: kBounds inclusive
+/// upper bounds growing geometrically by kRatio = 2^(1/4) from 10 us to
+/// ~119 s, plus an underflow bucket (<= the first bound) and an overflow
+/// bucket (> the last).  O(1) memory, and a snapshot walks the buckets once
+/// -- no sample copies, no selection.
+class LatencyHistogram {
  public:
-  /// Record one latency sample.  Seconds.
-  void record(double seconds) {
-    ++count_;
-    max_ = std::max(max_, seconds);
-    if (samples_.size() < kCapacity) {
-      samples_.push_back(seconds);
-    } else {
-      samples_[next_] = seconds;
-      next_ = (next_ + 1) % kCapacity;
-    }
+  /// Number of ladder bounds (buckets are kBounds + 1, overflow included).
+  static constexpr std::size_t kBounds = 95;
+  /// Ratio between consecutive bounds: 2^(1/4).
+  static constexpr double kRatio = 1.1892071150027210667;
+
+  /// The ladder: bounds()[i] = 10 us * 2^(i/4).  Seconds.
+  static const std::array<double, kBounds>& bounds() {
+    static const std::array<double, kBounds> ladder = [] {
+      std::array<double, kBounds> b{};
+      for (std::size_t i = 0; i < kBounds; ++i)
+        b[i] = 1e-5 * std::exp2(static_cast<double>(i) / 4.0);
+      return b;
+    }();
+    return ladder;
   }
 
-  /// Percentile snapshot of the retained window.  O(N) selection, not a
-  /// full sort: stats() polls snapshot every class and tenant window, so a
-  /// sort here made monitoring O(tenants x N log N) per scrape.  One scratch
-  /// copy serves all three ranks; ranks are selected in ascending order so
-  /// each nth_element only partitions the suffix left unresolved by the
-  /// previous one (everything before the last selected rank is already <=
-  /// that rank's value).
+  /// Record one latency sample.  Seconds.
+  void record(double seconds) {
+    const auto& b = bounds();
+    ++buckets_[static_cast<std::size_t>(
+        std::lower_bound(b.begin(), b.end(), seconds) - b.begin())];
+    ++count_;
+    max_ = std::max(max_, seconds);
+  }
+
+  /// Percentile snapshot: the rank-floor(q * (count - 1)) sample's bucket
+  /// bound, clamped to the exact maximum (the overflow bucket reports the
+  /// maximum itself).
   [[nodiscard]] LatencyStats snapshot() const {
     LatencyStats s;
     s.count = count_;
     s.max_seconds = max_;
-    if (samples_.empty()) return s;
-    std::vector<double> scratch = samples_;
-    std::size_t done = 0;  // prefix [0, done) is already partitioned correctly
-    const auto at = [&](double q) {
-      const auto i = static_cast<std::size_t>(q * static_cast<double>(scratch.size() - 1));
-      if (i >= done) {
-        std::nth_element(scratch.begin() + static_cast<std::ptrdiff_t>(done),
-                         scratch.begin() + static_cast<std::ptrdiff_t>(i),
-                         scratch.end());
-        done = i;
-      }
-      return scratch[i];
-    };
-    s.p50 = at(0.50);
-    s.p95 = at(0.95);
-    s.p99 = at(0.99);
+    if (count_ == 0) return s;
+    const double qs[] = {0.50, 0.95, 0.99};
+    double* const out[] = {&s.p50, &s.p95, &s.p99};
+    std::size_t k = 0;
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i < buckets_.size() && k < 3; ++i) {
+      seen += buckets_[i];
+      while (k < 3 &&
+             static_cast<std::uint64_t>(qs[k] * static_cast<double>(count_ - 1)) < seen)
+        *out[k++] = i < kBounds ? std::min(bounds()[i], max_) : max_;
+    }
     return s;
   }
 
  private:
-  static constexpr std::size_t kCapacity = 4096;
-  std::vector<double> samples_;
-  std::size_t next_ = 0;
+  std::array<std::uint64_t, kBounds + 1> buckets_{};
   std::uint64_t count_ = 0;
   double max_ = 0;
 };
@@ -221,7 +235,8 @@ struct TenantStats {
 };
 
 /// Aggregate service counters.  Snapshot-consistent when obtained through
-/// EvalService::stats().
+/// EvalService::stats(), which fills the farm-wide chip totals (the
+/// kChipCounters rows with a farm member) as sums over per_chip.
 struct ServiceStats {
   /// Requests accepted by submit()/submit_batch().  Count.
   std::uint64_t submitted = 0;
@@ -413,6 +428,65 @@ struct ServiceStats {
     return active_seconds > 0 ? per_chip.at(i).busy_wall_seconds / active_seconds
                               : 0.0;
   }
+};
+
+/// One per-chip counter: its exposition name stem, its help text, the
+/// ChipStats member the service records it in, and -- when the service
+/// also reports it farm-wide -- the ServiceStats member EvalService::stats()
+/// fills with the chip-index-ordered sum.  obs/service_export.cpp exposes
+/// every row as cofhee_chip_<name>_total{chip="C"}, plus
+/// cofhee_service_<name>_total for rows with a farm member, so a new chip
+/// counter is one ChipStats field and one row here.
+template <class T>
+struct ChipCounter {
+  const char* name;
+  const char* help;
+  T ChipStats::*chip;
+  T ServiceStats::*farm;  ///< nullptr: per-chip only
+};
+
+/// The integer per-chip counters.  Counts (bytes for key_bytes_saved).
+inline constexpr ChipCounter<std::uint64_t> kChipCounters[] = {
+    {"sessions", "Chip sessions.", &ChipStats::sessions, &ServiceStats::sessions},
+    {"placements", "Work items placed on the chip.", &ChipStats::placements, nullptr},
+    {"requests", "Requests the chip touched.", &ChipStats::requests, nullptr},
+    {"tower_runs", "Algorithm-3 tower executions.", &ChipStats::tower_runs, nullptr},
+    {"relin_tower_runs", "Relinearization tower runs.", &ChipStats::relin_tower_runs,
+     nullptr},
+    {"ks_products", "Algorithm-2 key-switch PolyMuls.", &ChipStats::ks_products,
+     &ServiceStats::ks_products},
+    {"key_uploads", "Relin-key tower uploads paid.", &ChipStats::key_uploads,
+     &ServiceStats::key_uploads},
+    {"key_cache_hits", "Relin-key tower uploads skipped by the batch-aware key cache.",
+     &ChipStats::key_cache_hits, &ServiceStats::key_cache_hits},
+    {"ring_configs", "Ring reconfigurations paid.", &ChipStats::ring_configs, nullptr},
+    {"sram_reuses", "Operand uploads replaced by on-chip DMA duplication.",
+     &ChipStats::sram_reuses, &ServiceStats::sram_reuses},
+    {"batched_writes", "Register writes coalesced into burst frames by link batching.",
+     &ChipStats::batched_writes, &ServiceStats::batched_writes},
+    {"twiddle_cache_hits", "Ring configurations skipped by the twiddle-ROM cache.",
+     &ChipStats::twiddle_cache_hits, &ServiceStats::twiddle_cache_hits},
+    {"key_bytes_saved", "Wire bytes saved by seed-compressed relin-key uploads.",
+     &ChipStats::key_bytes_saved, &ServiceStats::key_bytes_saved},
+    {"faults", "Typed faults surfaced by sessions or probes.", &ChipStats::faults,
+     nullptr},
+    {"quarantines", "Quarantines after consecutive faults.", &ChipStats::quarantines,
+     &ServiceStats::quarantines},
+    {"readmissions", "Re-admissions from quarantine by a passing probe.",
+     &ChipStats::readmissions, &ServiceStats::readmissions},
+    {"probes", "Health probes sent while quarantined.", &ChipStats::probes,
+     &ServiceStats::probes},
+    {"cycles", "PE cycles at the configured clock.", &ChipStats::chip_cycles, nullptr},
+};
+
+/// The per-chip time totals.  Seconds (see each ChipStats member's axis).
+inline constexpr ChipCounter<double> kChipSeconds[] = {
+    {"io_seconds", "Simulated serial-link transport.", &ChipStats::io_seconds,
+     &ServiceStats::io_seconds},
+    {"compute_seconds", "Simulated chip compute.", &ChipStats::compute_seconds,
+     &ServiceStats::compute_seconds},
+    {"busy_wall_seconds", "Wall seconds inside sessions.",
+     &ChipStats::busy_wall_seconds, nullptr},
 };
 
 }  // namespace cofhee::service

@@ -347,6 +347,77 @@ TEST(FaultInjection, SeededChaosMatrixNeverHangsOrCorrupts) {
   }
 }
 
+/// Everything one chaos run must reproduce from its seed: the healing
+/// counters and a digest of every request's outcome (result coefficients,
+/// or the typed fault that defeated it).
+struct ChaosOutcome {
+  std::uint64_t probes = 0, probe_failures = 0, readmissions = 0, faults_injected = 0;
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a
+
+  void mix(std::uint64_t x) { digest = (digest ^ x) * 0x100000001b3ull; }
+};
+
+TEST(FaultInjection, SeededScheduleReplaysIdenticallyAtDepthTwo) {
+  AlarmGuard guard(300);
+  ChaosFixture f;
+  // One seeded schedule, replayed in-process: chip 0 corrupts a window of
+  // frames (quarantine, then probes until it heals), chip 1 draws random
+  // faults.  Serial dispatch at depth 2 keeps the thread interleaving the
+  // only thing that can differ between runs -- and quarantine probes are
+  // paced by each round's own ordinal, not by the dispatcher's live round
+  // count, so the interleaving must not show in any counter.
+  std::vector<EvalRequest> reqs;
+  for (int wave = 0; wave < 3; ++wave)
+    reqs.insert(reqs.end(), f.requests.begin(), f.requests.end());
+  const auto run = [&] {
+    std::vector<ChipSpec> specs(2);
+    specs[0].faults.events.push_back({chip::FaultKind::kCorruptFrame, 40, 12, 0});
+    specs[1].faults = chip::FaultSchedule::random(/*seed=*/99, /*op_horizon=*/4000,
+                                                  /*num_events=*/4,
+                                                  /*link_timeout_seconds=*/0.05);
+    ChipFarm farm(specs);
+    auto opts = f.base_opts();
+    opts.pooled_dispatch = false;
+    opts.pipeline_depth = 2;
+    opts.max_batch = 2;
+    opts.max_stage_retries = 1;
+    opts.quarantine_after = 1;
+    opts.probe_interval_rounds = 2;
+    EvalService svc(f.scheme, farm, opts);
+    auto futs = svc.submit_batch(reqs);
+    ChaosOutcome out;
+    for (auto& fu : futs) {
+      try {
+        for (const auto& p : fu.get().c)
+          for (const auto& tower : p.towers)
+            for (std::uint64_t x : tower) out.mix(x);
+      } catch (const chip::FaultError&) {
+        out.mix(0xFA017);
+      } catch (const FarmCapacityError&) {
+        out.mix(0xCA9);
+      }
+    }
+    svc.drain();
+    const auto st = svc.stats();
+    expect_counter_invariants(st);
+    out.probes = st.probes;
+    out.probe_failures = st.probe_failures;
+    out.readmissions = st.readmissions;
+    out.faults_injected = st.faults_injected;
+    return out;
+  };
+  const ChaosOutcome first = run();
+  EXPECT_GT(first.probes, 0u);  // the schedule exercises quarantine probing
+  for (int rep = 1; rep < 12; ++rep) {
+    const ChaosOutcome again = run();
+    EXPECT_EQ(again.probes, first.probes) << "run " << rep;
+    EXPECT_EQ(again.probe_failures, first.probe_failures) << "run " << rep;
+    EXPECT_EQ(again.readmissions, first.readmissions) << "run " << rep;
+    EXPECT_EQ(again.faults_injected, first.faults_injected) << "run " << rep;
+    EXPECT_EQ(again.digest, first.digest) << "run " << rep;
+  }
+}
+
 TEST(FaultInjection, DeadChipLosesTheRequestsItsTilesCover) {
   AlarmGuard guard(120);
   ChaosFixture f;

@@ -1,20 +1,20 @@
-// LatencyWindow percentile correctness + the stats-poll cost guarantee.
+// The service's books: LatencyHistogram percentile bounds, farm-wide chip
+// totals derived from the per-chip books, and live stats() polling.
 //
-// snapshot() must report the same order statistics a full sort would (the
-// nth_element rewrite is an optimization, not a semantic change), including
-// across the ring-buffer wraparound, and a monitoring scrape over many
-// full class/tenant windows must cost less than the sort-per-window
-// implementation it replaced -- measured against an in-test full-sort
-// baseline so the bound is self-calibrating, not machine-tuned.  A live
-// poller hammering EvalService::stats() during traffic closes the loop:
-// monitoring never blocks or torments the dispatcher.
+// A histogram percentile must lie within one ladder step above the exact
+// order statistic, with count and max exact, and samples outside the ladder
+// must clamp to the exact maximum.  Farm totals must be the chip-index-
+// ordered sums of per_chip, so they repeat bit for bit under pooled
+// dispatch.  A live poller hammering EvalService::stats() during traffic,
+// with every tracked tenant and the overflow bucket populated, closes the
+// loop: monitoring never blocks or torments the dispatcher.
 #include "service/service_stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <random>
 #include <thread>
 #include <vector>
@@ -25,28 +25,16 @@
 namespace cofhee::service {
 namespace {
 
-/// Reference percentiles: full sort of the retained window, same index rule
-/// as LatencyWindow::snapshot().
-LatencyStats sorted_reference(std::vector<double> retained, std::uint64_t count,
-                              double max_seconds) {
-  LatencyStats s;
-  s.count = count;
-  s.max_seconds = max_seconds;
-  if (retained.empty()) return s;
-  std::sort(retained.begin(), retained.end());
-  const auto at = [&](double q) {
-    return retained[static_cast<std::size_t>(
-        q * static_cast<double>(retained.size() - 1))];
-  };
-  s.p50 = at(0.50);
-  s.p95 = at(0.95);
-  s.p99 = at(0.99);
-  return s;
+/// The exact order statistic LatencyHistogram::snapshot() estimates: the
+/// sample at rank floor(q * (n - 1)) of the sorted samples.
+double exact_quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  return xs[static_cast<std::size_t>(q * static_cast<double>(xs.size() - 1))];
 }
 
-TEST(LatencyWindow, EmptyWindowSnapshotsToZeros) {
-  LatencyWindow w;
-  const auto s = w.snapshot();
+TEST(LatencyHistogram, EmptyHistogramSnapshotsToZeros) {
+  LatencyHistogram h;
+  const auto s = h.snapshot();
   EXPECT_EQ(s.count, 0u);
   EXPECT_EQ(s.p50, 0.0);
   EXPECT_EQ(s.p95, 0.0);
@@ -54,103 +42,155 @@ TEST(LatencyWindow, EmptyWindowSnapshotsToZeros) {
   EXPECT_EQ(s.max_seconds, 0.0);
 }
 
-TEST(LatencyWindow, SnapshotMatchesAFullSortAtEverySize) {
-  // Sizes straddle the interesting boundaries: single sample, the tiny
-  // windows where p50/p95/p99 collapse onto the same index, a mid-size
-  // window, and exactly-at-capacity.
+TEST(LatencyHistogram, QuantilesLieWithinOneLadderStepOfTheExactOrderStatistic) {
+  // The ladder itself: 10 us up to past 100 s, ratio 2^(1/4) per step.
+  const auto& b = LatencyHistogram::bounds();
+  const double ratio_slack = LatencyHistogram::kRatio * (1 + 1e-12);
+  EXPECT_EQ(b.front(), 1e-5);
+  EXPECT_GE(b.back(), 100.0);
+  for (std::size_t i = 1; i < b.size(); ++i) {
+    EXPECT_GT(b[i], b[i - 1]);
+    EXPECT_LE(b[i] / b[i - 1], ratio_slack);
+  }
+  // Seeded samples log-uniform across the whole ladder; the small sizes are
+  // where p50/p95/p99 collapse onto the same rank.
   std::mt19937_64 rng(0xC0FFEE);
-  std::uniform_real_distribution<double> lat(1e-6, 2.5);
-  for (std::size_t size : {1u, 2u, 3u, 7u, 100u, 1023u, 4096u}) {
+  std::uniform_real_distribution<double> log10_lat(-5.0, 2.0);
+  for (std::size_t size : {1u, 2u, 3u, 7u, 100u, 10000u}) {
     SCOPED_TRACE(size);
-    LatencyWindow w;
+    LatencyHistogram h;
     std::vector<double> fed;
-    double mx = 0;
     for (std::size_t i = 0; i < size; ++i) {
-      const double v = lat(rng);
+      const double v = std::pow(10.0, log10_lat(rng));
       fed.push_back(v);
-      mx = std::max(mx, v);
-      w.record(v);
+      h.record(v);
     }
-    const auto got = w.snapshot();
-    const auto want = sorted_reference(fed, size, mx);
-    EXPECT_EQ(got.count, want.count);
-    EXPECT_DOUBLE_EQ(got.p50, want.p50);
-    EXPECT_DOUBLE_EQ(got.p95, want.p95);
-    EXPECT_DOUBLE_EQ(got.p99, want.p99);
-    EXPECT_DOUBLE_EQ(got.max_seconds, want.max_seconds);
+    const auto got = h.snapshot();
+    EXPECT_EQ(got.count, size);
+    EXPECT_EQ(got.max_seconds, *std::max_element(fed.begin(), fed.end()));
+    const std::pair<double, double> qs[] = {
+        {0.50, got.p50}, {0.95, got.p95}, {0.99, got.p99}};
+    for (const auto& [q, est] : qs) {
+      const double want = exact_quantile(fed, q);
+      EXPECT_GE(est, want) << "q=" << q;
+      EXPECT_LE(est, want * ratio_slack) << "q=" << q;
+    }
   }
 }
 
-TEST(LatencyWindow, SnapshotCoversExactlyTheRetainedRingAfterWraparound) {
-  // 5000 monotonically increasing samples through a 4096-slot ring: the
-  // window must report percentiles of the *last 4096* samples only, while
-  // count and max keep the all-time view.
-  constexpr std::size_t kTotal = 5000, kCap = 4096;
-  LatencyWindow w;
-  std::vector<double> all;
-  for (std::size_t i = 1; i <= kTotal; ++i) {
-    w.record(static_cast<double>(i));
-    all.push_back(static_cast<double>(i));
+TEST(LatencyHistogram, SamplesOutsideTheLadderClampToTheLadderEndsAndTheMax) {
+  const auto& b = LatencyHistogram::bounds();
+  {
+    // Everything below the first bound: the underflow bucket's bound is
+    // clamped to the exact maximum.
+    LatencyHistogram h;
+    for (double v : {1e-7, 2e-6, 5e-6}) h.record(v);
+    const auto s = h.snapshot();
+    EXPECT_EQ(s.count, 3u);
+    EXPECT_EQ(s.p50, 5e-6);
+    EXPECT_EQ(s.p99, 5e-6);
+    EXPECT_EQ(s.max_seconds, 5e-6);
   }
-  const std::vector<double> retained(all.end() - kCap, all.end());
-  const auto got = w.snapshot();
-  const auto want =
-      sorted_reference(retained, kTotal, static_cast<double>(kTotal));
-  EXPECT_EQ(got.count, kTotal);
-  EXPECT_DOUBLE_EQ(got.p50, want.p50);
-  EXPECT_DOUBLE_EQ(got.p95, want.p95);
-  EXPECT_DOUBLE_EQ(got.p99, want.p99);
-  EXPECT_DOUBLE_EQ(got.max_seconds, static_cast<double>(kTotal));
+  {
+    // Everything above the last bound: the overflow bucket reports the
+    // exact maximum.
+    LatencyHistogram h;
+    for (double v : {200.0, 500.0, 1000.0}) h.record(v);
+    const auto s = h.snapshot();
+    EXPECT_EQ(s.p50, 1000.0);
+    EXPECT_EQ(s.p95, 1000.0);
+    EXPECT_EQ(s.p99, 1000.0);
+  }
+  {
+    // Half under, half over: p50 lands in the underflow bucket (its bound,
+    // the first ladder step), p95/p99 in the overflow bucket (the max).
+    LatencyHistogram h;
+    for (int i = 0; i < 50; ++i) h.record(1e-6);
+    for (int i = 0; i < 50; ++i) h.record(1e3);
+    const auto s = h.snapshot();
+    EXPECT_EQ(s.count, 100u);
+    EXPECT_EQ(s.p50, b.front());
+    EXPECT_EQ(s.p95, 1e3);
+    EXPECT_EQ(s.p99, 1e3);
+  }
+  {
+    // Bounds are inclusive: a sample exactly on a bound reports itself.
+    LatencyHistogram h;
+    h.record(b[10]);
+    h.record(b[40]);
+    const auto s = h.snapshot();
+    EXPECT_EQ(s.p50, b[10]);
+    EXPECT_EQ(s.p99, b[10]);
+    EXPECT_EQ(s.max_seconds, b[40]);
+  }
 }
 
-TEST(LatencyWindow, PollingManyFullWindowsBeatsTheFullSortBaseline) {
-  // The scrape a busy service pays: every class and tracked tenant holds a
-  // full 4096-sample window, and a monitoring loop snapshots all of them
-  // repeatedly.  The selection-based snapshot must beat a full sort of the
-  // same windows -- the in-test baseline keeps the comparison fair on any
-  // machine instead of hard-coding a wall-time budget.
-  constexpr std::size_t kWindows = 16, kPolls = 100;
-  std::mt19937_64 rng(31337);
-  std::uniform_real_distribution<double> lat(1e-6, 2.5);
-  std::vector<LatencyWindow> windows(kWindows);
-  std::vector<std::vector<double>> raw(kWindows);
-  for (std::size_t t = 0; t < kWindows; ++t) {
-    for (std::size_t i = 0; i < 4096; ++i) {
-      const double v = lat(rng);
-      windows[t].record(v);
-      raw[t].push_back(v);
-    }
+/// One 4-chip pooled-dispatch run of a fixed MultRelin batch; returns the
+/// drained stats.
+ServiceStats run_pooled_farm(const bfv::Bfv& scheme, const bfv::RelinKeys& rk,
+                             const std::vector<EvalRequest>& reqs) {
+  ChipFarm farm(4);
+  ServiceOptions opts;
+  opts.pooled_dispatch = true;
+  opts.relin_keys = &rk;
+  opts.max_batch = 3;
+  EvalService svc(scheme, farm, opts);
+  auto futs = svc.submit_batch(reqs);
+  for (auto& f : futs) (void)f.get();
+  svc.drain();
+  return svc.stats();
+}
+
+TEST(ServiceStatsBooks, FarmTotalsAreChipOrderedSumsAndRepeatBitForBit) {
+  // Under pooled dispatch the chips finish their sessions in any order.  A
+  // farm total accumulated in completion order differs in its last bits
+  // from run to run; the chip-index-ordered sum over per_chip does not.
+  bfv::Bfv scheme{bfv::BfvParams::test_tiny(64), /*seed=*/5};
+  const auto sk = scheme.keygen_secret();
+  const auto pk = scheme.keygen_public(sk);
+  const auto rk = scheme.keygen_relin(sk, 16);
+  bfv::IntegerEncoder enc{scheme.context()};
+  std::vector<EvalRequest> reqs;
+  for (std::int64_t x : {3, -5, 7, 11, -2, 9, 1, -8, 4, 6, -3, 2}) {
+    EvalRequest r{scheme.encrypt(pk, enc.encode(x)), scheme.encrypt(pk, enc.encode(x)),
+                  RequestKind::kMultRelin};
+    r.square = (x % 2) == 0;  // exercise the SRAM-reuse counter too
+    reqs.push_back(std::move(r));
   }
 
-  using clock = std::chrono::steady_clock;
-  double sink = 0;  // defeat dead-code elimination
-
-  const auto t0 = clock::now();
-  for (std::size_t p = 0; p < kPolls; ++p)
-    for (const auto& w : windows) sink += w.snapshot().p99;
-  const double snapshot_s = std::chrono::duration<double>(clock::now() - t0).count();
-
-  const auto t1 = clock::now();
-  for (std::size_t p = 0; p < kPolls; ++p) {
-    for (const auto& r : raw) {
-      std::vector<double> sorted = r;
-      std::sort(sorted.begin(), sorted.end());
-      sink += sorted[static_cast<std::size_t>(0.99 * (sorted.size() - 1))];
+  const ServiceStats a = run_pooled_farm(scheme, rk, reqs);
+  const ServiceStats b = run_pooled_farm(scheme, rk, reqs);
+  ASSERT_EQ(a.completed, reqs.size());
+  ASSERT_EQ(a.per_chip.size(), 4u);
+  EXPECT_EQ(a.io_seconds, b.io_seconds);
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  for (const ServiceStats* st : {&a, &b}) {
+    double io = 0, compute = 0;
+    for (const ChipStats& c : st->per_chip) {
+      io += c.io_seconds;
+      compute += c.compute_seconds;
+    }
+    EXPECT_EQ(st->io_seconds, io);
+    EXPECT_EQ(st->compute_seconds, compute);
+    for (const auto& row : kChipCounters) {
+      if (row.farm == nullptr) continue;
+      std::uint64_t sum = 0;
+      for (const ChipStats& c : st->per_chip) sum += c.*row.chip;
+      EXPECT_EQ(st->*row.farm, sum) << row.name;
     }
   }
-  const double sort_s = std::chrono::duration<double>(clock::now() - t1).count();
-
-  EXPECT_GT(sink, 0.0);
-  EXPECT_LT(snapshot_s, sort_s)
-      << "selection snapshot (" << snapshot_s << "s for " << kPolls * kWindows
-      << " polls) must undercut the full-sort baseline (" << sort_s << "s)";
+  EXPECT_GT(a.sessions, 0u);
+  EXPECT_GT(a.ks_products, 0u);
+  EXPECT_GT(a.io_seconds, 0.0);
 }
 
 TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
   // A poller thread scrapes stats() as fast as it can while a request batch
-  // flows through a 2-chip farm under the fairness scheduler (per-class and
-  // per-tenant windows all live).  Results must stay bit-exact and every
-  // scrape internally consistent (completed <= submitted).
+  // flows through a 2-chip farm under the fairness scheduler.  Before the
+  // poller starts, all max_tracked_tenants tenants and the overflow bucket
+  // hold latency samples, so every scrape snapshots the largest book the
+  // service keeps.  Results must stay bit-exact and every scrape internally
+  // consistent (completed <= submitted).
   bfv::Bfv scheme{bfv::BfvParams::test_tiny(32), /*seed=*/23};
   const auto sk = scheme.keygen_secret();
   const auto pk = scheme.keygen_public(sk);
@@ -161,6 +201,25 @@ TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
   opts.sched = SchedPolicy::kPriorityFair;
   opts.max_batch = 4;
   EvalService svc(scheme, farm, opts);
+
+  // Tenants 0..255 fill the tracking table; tenant 256 folds into overflow.
+  const std::size_t tenants = opts.max_tracked_tenants + 1;
+  std::vector<std::future<bfv::Ciphertext>> warm;
+  for (std::size_t t = 0; t < tenants; ++t) {
+    EvalRequest r{scheme.encrypt(pk, enc.encode(3)), scheme.encrypt(pk, enc.encode(2)),
+                  RequestKind::kEvalMult};
+    SubmitOptions so;
+    so.tenant = t;
+    warm.push_back(svc.submit(std::move(r), so));
+  }
+  for (auto& fu : warm) EXPECT_EQ(enc.decode(scheme.decrypt(sk, fu.get())), 6);
+  svc.drain();
+  {
+    const auto st = svc.stats();
+    ASSERT_EQ(st.per_tenant.size(), opts.max_tracked_tenants + 1);
+    EXPECT_EQ(st.per_tenant.back().tenant, kOverflowTenantId);
+    for (const auto& tn : st.per_tenant) EXPECT_GT(tn.latency.count, 0u);
+  }
 
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> scrapes{0};
@@ -192,8 +251,8 @@ TEST(ServiceStatsPoll, ConcurrentScrapesNeverDisturbTraffic) {
   poller.join();
   EXPECT_GT(scrapes.load(), 0u);
   const auto st = svc.stats();
-  EXPECT_EQ(st.completed, xs.size());
-  EXPECT_EQ(st.per_tenant.size(), 3u);
+  EXPECT_EQ(st.completed, tenants + xs.size());
+  EXPECT_EQ(st.per_tenant.size(), opts.max_tracked_tenants + 1);
 }
 
 }  // namespace

@@ -16,7 +16,10 @@ Checks:
     HTTP requests, active gauge) alongside the service families;
   * the books balance: completed + failed <= submitted at the service
     level AND per tenant label; frames_tx >= rejects_sent; every tenant
-    with a rejected count also appears in the submitted-or-rejected set.
+    with a rejected count also appears in the submitted-or-rejected set;
+  * every cofhee_service_X_total with a cofhee_chip_X_total{chip=...} twin
+    equals the sum over chips -- exactly for counts, within 1e-9 relative
+    for *_seconds totals.
 
 Exits 0 when clean, 1 with a per-problem report otherwise.
 """
@@ -122,6 +125,38 @@ def by_label(samples, family, key="tenant"):
     return out
 
 
+FARM_TOTAL = re.compile(r"cofhee_service_(?P<stem>\w+)_total")
+
+
+def check_chip_sums(path: Path, samples) -> list[str]:
+    """Farm-wide totals must equal the chip-index-ordered sum of their
+    per-chip twins."""
+    errors = []
+    for name in sorted(samples):
+        m = FARM_TOTAL.fullmatch(name)
+        if m is None:
+            continue
+        twin = f"cofhee_chip_{m.group('stem')}_total"
+        if twin not in samples:
+            continue
+        per_chip = sorted(
+            (int(dict(labels)["chip"]), value)
+            for labels, value in samples[twin].items()
+            if "chip" in dict(labels)
+        )
+        want = sum(value for _chip, value in per_chip)
+        got = total(samples, name)
+        if m.group("stem").endswith("seconds"):
+            ok = math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+        else:
+            ok = got == want
+        if not ok:
+            errors.append(
+                f"{path}: {name} ({got!r}) != sum over chips of {twin} ({want!r})"
+            )
+    return errors
+
+
 def lint(path: Path) -> list[str]:
     samples, _types, errors = parse(path)
     if not samples:
@@ -157,6 +192,8 @@ def lint(path: Path) -> list[str]:
                 f"{path}: tenant {tenant} has rejections but no "
                 f"cofhee_tenant_submitted_total sample"
             )
+
+    errors.extend(check_chip_sums(path, samples))
 
     # Wire-level sanity: every reject rode a tx frame; the active gauge is
     # a plausible instantaneous count.
